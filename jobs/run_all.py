@@ -1,76 +1,54 @@
-"""Run every table job at full scale and collect results/ into one file.
+"""Run evaluation tables from the registry and collect results/ into one file.
 
-Usage: ``python jobs/run_all.py [--smoke]``. Produces ``results/tableXX_*.md``
-(one per table) and ``results/ALL.md``; EXPERIMENTS.md quotes these
-numbers next to the paper's.
+Usage: ``python jobs/run_all.py [--smoke] [NAME ...]``, or the same under
+``spark-submit``. NAME is a key of ``repro.bench.report.TABLES``; with no
+names every table runs, in registry order. A full-scale run writes
+``results/<name>.md`` per table and rebuilds ``results/ALL.md``;
+EXPERIMENTS.md quotes these numbers next to the paper's. ``--smoke``
+shrinks the sweeps and only prints, leaving ``results/`` untouched.
 """
-import glob
-import importlib
-import os
+import argparse
 import sys
 import time
 
-JOBS = [
-    "table01_existing_approaches",
-    "table02_chained",
-    "table03_insertion_depth",
-    "table04_insertion_depth_par",
-    "table05_merge_ratio_par",
-    "table06_breakdown",
-    "table07_merge_ratio_im",
-    "table08_merge_ratio_pim",
-    "table09_single_threaded",
-    "table10_match_rate",
-    "table11_match_rate_par",
-    "table12_task_size",
-    "table13_memory",
-    "table14_asym_rates",
-    "table15_asym_windows",
-    "table16_bandwidth",
-    "table17_scalability",
-    "table18_spark_scalability",
-    "table19_distributions",
-    "table20_selfjoin",
-    "table21_drift_inserts",
-    "table22_drift_throughput",
-    "table23_multithreading",
-    "table24_asym_windows_st",
-    "table25_merge_cost",
-]
+from repro.bench.report import RESULTS_DIR, TABLES, get_spark, run_table
 
 
 def main() -> None:
-    """``--smoke`` shrinks sweeps; ``--only a,b`` or ``--from N --to M``
-    (1-based, inclusive) select a slice of the job list."""
-    scale = "smoke" if "--smoke" in sys.argv else "full"
-    jobs = JOBS
-    if "--only" in sys.argv:
-        names = sys.argv[sys.argv.index("--only") + 1].split(",")
-        jobs = [j for j in JOBS if any(n in j for n in names)]
-    if "--from" in sys.argv:
-        a = int(sys.argv[sys.argv.index("--from") + 1])
-        b = int(sys.argv[sys.argv.index("--to") + 1]) if "--to" in sys.argv else len(JOBS)
-        jobs = JOBS[a - 1 : b]
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-    from repro.bench.report import get_spark
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "names", nargs="*", metavar="NAME",
+        help="tables to run (default: all, in registry order)",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="shrunken sweeps; print only, do not write results/",
+    )
+    args = parser.parse_args()
+    unknown = [n for n in args.names if n not in TABLES]
+    if unknown:
+        parser.error(
+            f"unknown table(s): {', '.join(unknown)}\n"
+            "valid names:\n  " + "\n  ".join(TABLES)
+        )
+    scale = "smoke" if args.smoke else "full"
 
     spark = get_spark("run_all")
     t_all = time.perf_counter()
-    for name in jobs:
+    for name in args.names or TABLES:
         t0 = time.perf_counter()
-        mod = importlib.import_module(name)
-        mod.run(spark, scale=scale)
+        run_table(spark, name, scale)
         print(
             f"[run_all] {name} done in {time.perf_counter() - t0:.1f}s",
             file=sys.stderr, flush=True,
         )
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    parts = []
-    for name in JOBS:
-        for p in sorted(glob.glob(os.path.join(root, "results", f"{name}.md"))):
-            parts.append(open(p).read())
-    with open(os.path.join(root, "results", "ALL.md"), "w") as f:
-        f.write("\n".join(parts))
+    if scale == "full":
+        parts = [
+            p.read_text()
+            for name in TABLES
+            if (p := RESULTS_DIR / f"{name}.md").exists()
+        ]
+        (RESULTS_DIR / "ALL.md").write_text("\n".join(parts))
     print(
         f"[run_all] all tables in {time.perf_counter() - t_all:.1f}s",
         file=sys.stderr,

@@ -159,10 +159,16 @@ class ImmutableBTree:
         Descent via the inner levels, then a linear leaf scan; returns
         (keys, poss) lists sorted by key.
         """
+        return self.scan(self.find_start(lo), hi, min_pos)
+
+    def scan(
+        self, start: int, hi: int, min_pos: int = -1
+    ) -> tuple[list[int], list[int]]:
+        """Leaf scan from element ``start`` (a ``find_start`` result)
+        while key <= hi, dropping elements with pos < min_pos."""
         n = len(self.keys)
-        if n == 0:
+        if start >= n:
             return [], []
-        start = self.find_start(lo)
         end = bisect.bisect_right(self._keys_list, hi, start, n)
         if end <= start:
             return [], []

@@ -211,31 +211,11 @@ class IMAdapter(_Adapter):
         start = self.idx.t_s.find_start(lo)
         t1 = time.perf_counter()
         out = self.idx.t_i.scan(leaf, i, hi, min_pos)
-        out.extend(zip(*_ts_scan(self.idx.t_s, start, hi, min_pos)))
+        out.extend(zip(*self.idx.t_s.scan(start, hi, min_pos)))
         return out, t1 - t0, time.perf_counter() - t1
 
     def memory_bytes(self) -> int:
         return self.idx.memory_bytes()
-
-
-def _ts_scan(
-    t_s, start: int, hi: int, min_pos: int
-) -> tuple[list[int], list[int]]:
-    """Leaf scan of an immutable tree from element ``start`` while
-    key <= hi, with expiry filtering (shared by the timed probes)."""
-    import bisect as _bisect
-
-    n = len(t_s.keys)
-    if n == 0 or start >= n:
-        return [], []
-    end = _bisect.bisect_right(t_s._keys_list, hi, start, n)
-    k = t_s._keys_list[start:end]
-    p = t_s._poss_list[start:end]
-    if min_pos > 0 and any(pp < min_pos for pp in p):
-        kept = [(kk, pp) for kk, pp in zip(k, p) if pp >= min_pos]
-        k = [kk for kk, _ in kept]
-        p = [pp for _, pp in kept]
-    return k, p
 
 
 class PIMAdapter(_Adapter):
@@ -272,7 +252,7 @@ class PIMAdapter(_Adapter):
         i0, i1 = idx.route(lo), idx.route(hi)
         seeks = [idx.subindexes[i].seek(lo) for i in range(i0, i1 + 1)]
         t1 = time.perf_counter()
-        out = list(zip(*_ts_scan(idx.t_s, start, hi, min_pos)))
+        out = list(zip(*idx.t_s.scan(start, hi, min_pos)))
         for j, (leaf, i) in enumerate(seeks):
             out.extend(idx.subindexes[i0 + j].scan(leaf, i, hi, min_pos))
         return out, t1 - t0, time.perf_counter() - t1

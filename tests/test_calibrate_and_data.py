@@ -8,7 +8,7 @@ from repro.bench.calibrate import (
     service_times_pim,
 )
 from repro.oracle import assert_equivalent
-from repro.synth_data import lineitem, orders, uniform_keys, zipf_keys
+from repro.synth_data import uniform_keys, zipf_keys
 
 
 @pytest.fixture(scope="module")
@@ -75,24 +75,3 @@ def test_zipf_keys_are_skewed(spark):
         df.groupBy("k").count().orderBy("count", ascending=False).limit(1)
     ).collect()[0]["count"]
     assert top > 5000 * 0.1  # head key dominates under zipf(1.5)
-
-
-def test_tpch_lite_join_oracle(spark):
-    """Exercise the provided TPC-H-lite generators end-to-end through the
-    DuckDB oracle with a shuffle join (broadcast disabled by fixture)."""
-    li = lineitem(spark, sf=0.001)
-    o = orders(spark, sf=0.001)
-    q = (
-        li.join(o, li.l_orderkey == o.o_orderkey)
-        .groupBy("o_orderpriority")
-        .agg({"l_quantity": "sum"})
-        .withColumnRenamed("sum(l_quantity)", "qty")
-    )
-    assert_equivalent(
-        q,
-        "SELECT o_orderpriority, SUM(l_quantity) AS qty "
-        "FROM lineitem JOIN orders ON l_orderkey = o_orderkey "
-        "GROUP BY o_orderpriority",
-        lineitem=li,
-        orders=o,
-    )

@@ -149,6 +149,30 @@ def test_measure_mode_same_results_as_fast_mode():
     assert set(r1.pairs) == set(r2.pairs)
 
 
+@pytest.mark.parametrize("name", ["im_m125", "pim_d2"])
+def test_probe_split_runs_the_probe_scan(name):
+    """The timed probe scans T_S with the production ``scan``: the same
+    matches and the same T_S bytes loaded as the untimed probe."""
+    import random
+
+    rnd = random.Random(5)
+    ad = FACTORIES[name](256)
+    pos = 0
+    for n in (ad.idx.merge_threshold,) * 3 + (20,):  # merges, then T_I fill
+        for _ in range(n):
+            pos += 1
+            ad.insert(rnd.randrange(10_000), pos)
+        ad.maintain(pos - 200, ibwj.StepCosts(), measure=False)
+    assert len(ad.idx.t_s) > 0 and not ad.idx.needs_merge()
+    for lo in range(0, 10_000, 700):
+        b0 = ad.idx.t_s.bytes_loaded
+        want = ad.probe(lo, lo + 300, pos - 200)
+        b1 = ad.idx.t_s.bytes_loaded
+        got, _, _ = ad.probe_split(lo, lo + 300, pos - 200)
+        assert sorted(got) == sorted(want)
+        assert ad.idx.t_s.bytes_loaded - b1 == b1 - b0 > 0
+
+
 def test_pairs_df_schema():
     df = ibwj.pairs_df([(3, 1), (5, 2)])
     assert list(df.columns) == ["later_gpos", "earlier_gpos"]
