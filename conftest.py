@@ -48,7 +48,13 @@ os.environ.setdefault(
 )
 
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 from pyspark.sql import SparkSession  # noqa: E402
+
+# Property tests replay the same examples on every run and keep no example
+# database, so a run is reproducible and writes nothing into the checkout.
+settings.register_profile("repro", derandomize=True, deadline=None, database=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -74,6 +74,11 @@ class ParallelResult:
     n_processed: int
     elapsed: float
     n_merges: int
+    # Total length of the non-indexed window scans [edge, t_l] in
+    # lookups: how far the edge lagged behind the window heads.
+    scanned_positions: int = 0
+    # Inserts parked in ``pending`` while a nonblocking merge ran.
+    deferred_inserts: int = 0
 
     @property
     def throughput(self) -> float:
@@ -129,6 +134,14 @@ class ParallelIBWJ:
         }
         if self_join:
             self.cnt_before["S"] = self.cnt_before["R"]
+        # gpos_of[side][spos] = gpos of that ``side``-stream tuple: result
+        # pairs name the earlier tuple by spos, propagation by gpos.
+        self.gpos_of: dict[str, list[int]] = {}
+        for side, mask in (("R", is_r), ("S", ~is_r)):
+            sposs = self.sposs[mask]
+            gpos = np.zeros(int(sposs.max(initial=0)) + 1, np.int64)
+            gpos[sposs] = self.gposs[mask]
+            self.gpos_of[side] = gpos.tolist()
         # Work queue: one slot per tuple; guarded by queue_mutex.
         self.status = np.full(n, AVAILABLE, np.int8)
         self.t_l = np.zeros(n, np.int64)  # opposite count at assignment
@@ -142,6 +155,10 @@ class ParallelIBWJ:
         self.merge_gate.set()
         self.merge_mutex = threading.Lock()
         self.n_merges = 0
+        self.scan_len = np.zeros(n, np.int64)  # per tuple, one writer each
+        # Guarded by the merging stream's index_swap: merge_mutex lets one
+        # stream merge at a time.
+        self.deferred_inserts = 0
 
     # -- task acquisition -------------------------------------------------
     def _acquire(self) -> tuple[int, int] | None:
@@ -184,10 +201,13 @@ class ParallelIBWJ:
             if p < edge_snapshot and p <= t_l
         ]
         # Linear scan of the non-indexed window region [edge, t_l].
-        for p in range(max(edge_snapshot, max(t_e, 1)), t_l + 1):
-            k = int(ost.keys[p])
-            if lo <= k <= hi:
-                matches.append((k, p))
+        scan_from = max(edge_snapshot, t_e, 1)
+        if scan_from <= t_l:
+            self.scan_len[t] = t_l + 1 - scan_from
+            for p in range(scan_from, t_l + 1):
+                k = int(ost.keys[p])
+                if lo <= k <= hi:
+                    matches.append((k, p))
         return matches
 
     # -- index update -----------------------------------------------------
@@ -201,6 +221,7 @@ class ParallelIBWJ:
                 # built; the tuple stays non-indexed (edge cannot pass it,
                 # so lookups find it via the linear window scan).
                 st.pending.append((int(self.xs[t]), spos))
+                self.deferred_inserts += 1
                 deferred = True
             else:
                 st.index.insert(int(self.xs[t]), spos)
@@ -273,31 +294,15 @@ class ParallelIBWJ:
                     if self.self_join
                     else ("S" if self.sides[t] == "R" else "R")
                 )
-                for _, p in self.results[t]:
-                    self.out.append((g, self._gpos_of(opp_side, p)))
+                gpos_of = self.gpos_of[opp_side]
+                self.out.extend((g, gpos_of[p]) for _, p in self.results[t])
                 self.results[t] = None
                 self.head += 1
         finally:
             self.prop_mutex.release()
 
-    def _gpos_of(self, side: str, spos: int) -> int:
-        # Arrival sequences are deterministic: gpos is recoverable from
-        # (side, spos) by construction of the input frame.
-        if self.self_join:
-            return spos
-        sel = self._gpos_map.setdefault(
-            side,
-            {
-                int(s): int(g)
-                for s, g, sd in zip(self.sposs, self.gposs, self.sides)
-                if sd == side
-            },
-        )
-        return sel[spos]
-
     # -- driver -----------------------------------------------------------
     def run(self) -> ParallelResult:
-        self._gpos_map: dict[str, dict[int, int]] = {}
         errors: list[BaseException] = []
 
         def worker() -> None:
@@ -330,5 +335,11 @@ class ParallelIBWJ:
             raise errors[0]
         n_matches = len(self.out)
         return ParallelResult(
-            self.out, n_matches, len(self.status), elapsed, self.n_merges
+            self.out,
+            n_matches,
+            len(self.status),
+            elapsed,
+            self.n_merges,
+            scanned_positions=int(self.scan_len.sum()),
+            deferred_inserts=self.deferred_inserts,
         )

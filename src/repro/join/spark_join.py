@@ -209,6 +209,23 @@ def parallel_band_join(
     )
 
 
+def live_state_rows(
+    side_rows: dict[str, np.ndarray], win: dict[str, int], start: int
+) -> np.ndarray:
+    """Row positions of the window state live when row ``start`` arrives.
+
+    ``side_rows`` maps each side, in order of its first arrival, to the
+    ascending row positions of its tuples. Per side, the state is that
+    side's last ``win[side]`` rows before ``start``, in arrival order;
+    the cost depends on the window, not on ``start``.
+    """
+    live = []
+    for s, rows in side_rows.items():
+        k = int(np.searchsorted(rows, start))
+        live.append(rows[max(0, k - win[s]) : k])
+    return np.concatenate(live)
+
+
 def microbatch_band_join(
     spark: SparkSession,
     seq: pd.DataFrame,
@@ -233,21 +250,11 @@ def microbatch_band_join(
     out: list[pd.DataFrame] = []
     n = len(seq)
     win = {"R": w_r, "S": w_s}
+    sides = seq["side"].to_numpy()
+    side_rows = {s: np.flatnonzero(sides == s) for s in pd.unique(sides)}
     for start in range(0, n, batch_size):
         batch = seq.iloc[start : start + batch_size]
-        if start == 0:
-            state = seq.iloc[0:0]
-        else:
-            head = seq.iloc[:start]
-            counts = head.groupby("side")["spos"].max().to_dict()
-            live = [
-                head[
-                    (head["side"] == s)
-                    & (head["spos"] > counts.get(s, 0) - win["R" if self_join else s])
-                ]
-                for s in head["side"].unique()
-            ]
-            state = pd.concat(live) if live else head.iloc[0:0]
+        state = seq.iloc[live_state_rows(side_rows, win, start)]
         sdf = spark.createDataFrame(
             pd.concat(
                 [state.assign(is_state=True), batch.assign(is_state=False)]

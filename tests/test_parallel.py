@@ -1,7 +1,11 @@
 """Correctness tests for the §4 multithreaded join: no duplicated or
 missing results under real thread interleaving, ordered propagation,
 edge-tuple and nonblocking-merge safety."""
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.join.parallel import ParallelIBWJ
 from repro.join.streams import (
@@ -129,3 +133,78 @@ def test_throughput_and_counts_reported():
     assert res.n_processed == 600
     assert res.throughput > 0
     assert res.n_matches == len(res.pairs)
+
+
+@settings(max_examples=24)
+@given(
+    n=st.integers(3000, 5000),
+    seed=st.integers(0, 2**16),
+    n_threads=st.integers(1, 8),
+    task_size=st.integers(1, 8),
+    merge_ratio=st.sampled_from([1 / 16, 1 / 4, 1.0]),
+    blocking=st.booleans(),
+    self_join=st.booleans(),
+    d_i=st.integers(1, 3),
+    w_r=st.sampled_from([64, 128, 256]),
+    w_s=st.sampled_from([64, 128, 256]),
+)
+def test_stress_fine_interleavings_match_oracle(
+    n, seed, n_threads, task_size, merge_ratio, blocking, self_join, d_i, w_r, w_s
+):
+    """Thread switches every microsecond, at windows small enough that
+    merges fire many times, across the whole configuration space."""
+    if self_join:
+        w_s = w_r
+    seq = gen_stream(n, seed=seed, self_join=self_join)
+    diff = diff_for_match_rate(2.0, max(w_r, w_s))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        res = _check(
+            seq, w_r, w_s, diff,
+            self_join=self_join, n_threads=n_threads, task_size=task_size,
+            merge_ratio=merge_ratio, insertion_depth=d_i,
+            blocking_merge=blocking,
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert res.n_merges > 0
+    if blocking:
+        assert res.deferred_inserts == 0
+    if n_threads == 1:
+        assert res.scanned_positions == res.deferred_inserts == 0
+
+
+def test_run_time_is_linear_in_stream_length():
+    """8x the tuples at the same window costs about 8x the time; a cost
+    per result pair that grows with the stream makes it about 64x."""
+    w = 64
+    diff = diff_for_match_rate(2.0, w)
+
+    def best_elapsed(n):
+        seq = gen_stream(n, seed=12)
+        return min(
+            ParallelIBWJ(seq, w, w, diff, n_threads=1).run().elapsed
+            for _ in range(3)
+        )
+
+    ratio = best_elapsed(4096) / best_elapsed(512)
+    assert ratio < 24, f"4096 tuples took {ratio:.1f}x as long as 512"
+
+
+def test_counters_zero_without_concurrency():
+    """One thread never leaves the edge behind a window head and never
+    inserts during a merge; a blocking merge never defers an insert."""
+    w = 64
+    seq = gen_stream(1500, seed=13)
+    diff = diff_for_match_rate(2.0, w)
+    res = ParallelIBWJ(seq, w, w, diff, n_threads=1, merge_ratio=0.25).run()
+    assert res.n_merges > 0
+    assert res.scanned_positions == 0
+    assert res.deferred_inserts == 0
+    res = _check(
+        seq, w, w, diff, n_threads=4, task_size=2, merge_ratio=0.25,
+        blocking_merge=True,
+    )
+    assert res.n_merges > 0
+    assert res.deferred_inserts == 0

@@ -2,6 +2,7 @@
 micro-batch driver, validated through ``oracle.assert_equivalent`` (the
 DuckDB band-join-over-count-window SQL runs over the same stream table
 the Spark job consumed)."""
+import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -9,6 +10,7 @@ from pyspark.sql import functions as F
 from repro.join import ibwj
 from repro.join.spark_join import (
     key_bounds,
+    live_state_rows,
     microbatch_band_join,
     parallel_band_join,
     stream_to_df,
@@ -89,6 +91,50 @@ def test_microbatch_join_matches_oracle(spark, batch_size):
     _assert_join(
         spark, seq, spark.createDataFrame(out), w, w, diff
     )
+
+
+def _live_state_by_prefix_filter(seq, start, w_r, w_s, self_join):
+    """Each side's live window state, found by filtering the whole
+    arrival prefix (the micro-batch driver's former per-batch cost)."""
+    head = seq.iloc[:start]
+    if head.empty:
+        return head
+    win = {"R": w_r, "S": w_s}
+    counts = head.groupby("side")["spos"].max().to_dict()
+    return pd.concat(
+        [
+            head[
+                (head["side"] == s)
+                & (head["spos"] > counts[s] - win["R" if self_join else s])
+            ]
+            for s in head["side"].unique()
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "w_r, w_s, self_join, rates",
+    [
+        (96, 96, False, (1, 1)),
+        (100, 100, True, (1, 1)),
+        (40, 250, False, (1, 1)),
+        (64, 160, False, (3, 1)),
+    ],
+    ids=["two_way", "self_join", "asym_windows", "asym_windows_rates"],
+)
+def test_live_state_rows_equal_prefix_filter(w_r, w_s, self_join, rates):
+    seq = gen_stream(
+        1200, seed=40, self_join=self_join, rate_r=rates[0], rate_s=rates[1]
+    )
+    sides = seq["side"].to_numpy()
+    side_rows = {s: np.flatnonzero(sides == s) for s in pd.unique(sides)}
+    win = {"R": w_r, "S": w_s}
+    for batch_size in (29, 250):
+        for start in range(0, len(seq), batch_size):
+            pd.testing.assert_frame_equal(
+                seq.iloc[live_state_rows(side_rows, win, start)],
+                _live_state_by_prefix_filter(seq, start, w_r, w_s, self_join),
+            )
 
 
 def test_microbatch_self_join(spark):
