@@ -15,8 +15,6 @@ Two variants, as proposed and measured by the paper:
 """
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.bplus_tree import BPlusTree
 from repro.core.immutable_btree import ImmutableBTree
 
@@ -61,10 +59,8 @@ class ChainedIndex:
 
     def _archive(self, last_pos: int) -> None:
         if self.immutable_archive:
-            items = list(self.active.items())
-            k = np.fromiter((x for x, _ in items), np.int64, len(items))
-            p = np.fromiter((x for _, x in items), np.int64, len(items))
-            idx: object = ImmutableBTree(k, p, self.fanout_imm)
+            keys, poss = self.active.items_arrays()
+            idx: object = ImmutableBTree(keys, poss, self.fanout_imm)
         else:
             idx = self.active
         self.archived.append((idx, self._active_lo, last_pos))

@@ -302,9 +302,8 @@ def table_drift_insert_distribution(scale: str = "full") -> pd.DataFrame:
                     acc[: len(c)] += c
                     max_subs = max(max_subs, len(c))
                 tree.merge(p - w + 1)
-            if p == n1:
+            if p == n1:  # n1 = 2w inserts end with a merge: counts start at 0
                 in_phase2 = True
-                tree.insert_counts = [0] * tree.n_subindexes
         c = np.asarray(tree.insert_counts, float)
         acc[: len(c)] += c
         max_subs = max(max_subs, len(c))

@@ -118,10 +118,12 @@ class ImmutableBTree:
     def route(self, key: int, depth: int) -> int:
         """Index of the depth-``depth`` node whose range covers ``key``.
 
-        This is the T_S traversal PIM-Tree uses to pick the sub-index B_i
-        (Algorithm 1, lines 1-7). ``depth`` is clamped to the available
-        inner levels. Per-node search: first child whose subtree max is
-        >= key, clamped to the last child.
+        This is the T_S traversal that picks PIM-Tree's sub-index B_i
+        (Algorithm 1, lines 1-7); PIM-Tree runs it as one binary search
+        over the depth-``depth`` bounds, and tests check that search
+        against this reference descent. ``depth`` is clamped to the
+        available inner levels. Per-node search: first child whose
+        subtree max is >= key, clamped to the last child.
         """
         depth = min(depth, len(self._level_lists))
         p = 0
@@ -143,7 +145,7 @@ class ImmutableBTree:
         converges to, and the reason immutable-tree search must be
         *cheaper* than a pointer-chasing B+-Tree descent (the paper's
         lambda_ib^s < lambda_b^s). ``route`` keeps the explicit per-level
-        descent for partition routing and cross-checks.
+        descent as the reference for partition routing.
         """
         n = len(self.keys)
         if n == 0:

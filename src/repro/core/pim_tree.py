@@ -1,51 +1,58 @@
 """Partitioned In-memory Merge-Tree (PIM-Tree, paper §3.3, Alg. 1-2).
 
-The mutable stage T_I is split into sub-indexes B_0..B_{n-1}, one per
-inner node of the immutable stage T_S at the *insertion depth* D_I; each
-B_i covers that node's key range, so the partitioning adapts to the data
-distribution at every merge. Each B_i carries its own lock: concurrent
-threads route through the (lock-free, never-mutated) T_S and contend only
-on the sub-index covering their key — the paper's partition-level
-concurrency control.
+Two-stage sliding-window index: the mutable stage T_I receives all
+inserts; when ``|T_I| >= m * w`` the two stages merge — expired elements
+of the immutable T_S are discarded and the survivors plus T_I's elements
+are rebuilt bottom-up into a new T_S. Expired elements are never deleted
+individually: lookups filter them by arrival position (``min_pos``), and
+the merge drops them wholesale — the paper's coarse-grained
+tuple-disposal scheme.
+
+T_I is split into sub-indexes B_0..B_{n-1}, one per inner node of T_S at
+the *insertion depth* D_I; each B_i covers that node's key range, so the
+partitioning adapts to the data distribution at every merge. Each B_i
+carries its own lock: concurrent threads route through the (lock-free,
+never-mutated) T_S and contend only on the sub-index covering their key
+— the paper's partition-level concurrency control.
+
+At D_I = 0 (the root) T_I is one unpartitioned sub-index: that is the
+paper's IM-Tree (§3.2), used without locks.
 
 The per-sub-index insert counters back the drifting-distribution
 experiment (paper Fig. 13a).
 """
 from __future__ import annotations
 
-import bisect
 import threading
+from bisect import bisect_left
 
 import numpy as np
 
 from repro.core.bplus_tree import BPlusTree
-from repro.core.im_tree import merge_sorted
 from repro.core.immutable_btree import ImmutableBTree
 
 
-def _merged_arrays(tree: "PIMTree", min_pos: int) -> tuple[np.ndarray, np.ndarray]:
-    """Live T_S elements merged with all sub-index elements, key-sorted.
-
-    Sub-indexes cover disjoint ascending key ranges, so concatenating
-    their (leaf-chain-sorted) arrays in partition order yields one sorted
-    T_I run; the T_S run is then merged in linear time.
-    """
-    parts = [b.items_arrays() for b in tree.subindexes if len(b)]
-    if parts:
-        ik = np.concatenate([k for k, _ in parts])
-        ip = np.concatenate([p for _, p in parts])
-    else:
-        ik = np.empty(0, np.int64)
-        ip = np.empty(0, np.int64)
-    live = tree.t_s.poss >= min_pos
-    return merge_sorted(tree.t_s.keys[live], tree.t_s.poss[live], ik, ip)
+def merge_sorted(
+    sk: np.ndarray, sp: np.ndarray, ik: np.ndarray, ip: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge two key-sorted (keys, poss) runs in linear time — the
+    streaming merge step of Eq. 7 (both runs are already sorted: T_S by
+    construction, T_I by leaf-chain extraction)."""
+    if len(ik) == 0:
+        return sk, sp
+    if len(sk) == 0:
+        return ik, ip
+    at = np.searchsorted(sk, ik, side="right")
+    return np.insert(sk, at, ik), np.insert(sp, at, ip)
 
 
 class PIMTree:
     """Two-stage partitioned sliding-window index.
 
-    ``insertion_depth`` is D_I (root = depth 0). While T_S is empty (before
-    the first merge) there is a single sub-index.
+    Parameters mirror the paper: ``window`` is w, ``merge_ratio`` is m
+    (0 < m <= 1), ``insertion_depth`` is D_I (root = depth 0),
+    ``fanout_mut``/``fanout_imm`` are f_b and f_ib. While T_S is empty
+    (before the first merge) there is a single sub-index.
     """
 
     def __init__(
@@ -59,8 +66,8 @@ class PIMTree:
     ) -> None:
         if not (0 < merge_ratio <= 1):
             raise ValueError("merge_ratio must be in (0, 1]")
-        if insertion_depth < 1:
-            raise ValueError("insertion_depth must be >= 1")
+        if insertion_depth < 0:
+            raise ValueError("insertion_depth must be >= 0")
         # use_locks=False is the paper's "without concurrency control"
         # single-threaded variant (Fig. 12a); never share such a tree
         # across threads.
@@ -85,16 +92,44 @@ class PIMTree:
         ]
         self.locks = [threading.Lock() for _ in range(n)]
         self._n_i = 0
-        # plain list: a numpy scalar += in the insert hot path costs more
-        # than the sub-index insert itself
+        # Inserts per sub-index since the merge; sub-indexes never delete,
+        # so this is also each one's size. A plain list: a numpy scalar
+        # += in the insert hot path costs more than the sub-index insert
+        # itself, and the probe's emptiness check reads a list slot
+        # instead of calling BPlusTree.__len__.
         self.insert_counts: list[int] = [0] * n
-        # Cached upper bounds of the depth-D_I nodes: routing a key is one
-        # bounded binary search over these — the same comparison sequence
-        # as the T_S descent to D_I (route() is kept for cross-checking),
-        # at D_I*log2(f_ib) comparisons either way.
+        # Upper bounds of the depth-D_I nodes but the last: routing a key
+        # is one binary search over these, the same comparison sequence
+        # as the T_S descent to D_I (``ImmutableBTree.route``) at
+        # D_I*log2(f_ib) comparisons either way. Dropping the last bound
+        # routes keys above every node to the rightmost sub-index.
         self._bounds: list[int] = self.t_s.partition_bounds(
             self.insertion_depth
-        ).tolist()
+        ).tolist()[:-1]
+
+    def _rebuild(self, src: "PIMTree", min_pos: int) -> int:
+        """Make T_S the live T_S elements of ``src`` merged with all of
+        its sub-index elements, re-initialise the sub-indexes against the
+        new partitioning, and continue ``src``'s merge counters.
+
+        Sub-indexes cover disjoint ascending key ranges, so concatenating
+        their (leaf-chain-sorted) arrays in partition order yields one
+        sorted T_I run; the T_S run is then merged in linear time.
+        Returns the merged element count (linear merge cost, Fig. 14).
+        """
+        parts = [b.items_arrays() for b in src.subindexes if len(b)]
+        if parts:
+            ik = np.concatenate([k for k, _ in parts])
+            ip = np.concatenate([p for _, p in parts])
+        else:
+            ik = ip = np.empty(0, np.int64)
+        live = src.t_s.poss >= min_pos
+        keys, poss = merge_sorted(src.t_s.keys[live], src.t_s.poss[live], ik, ip)
+        self.t_s = ImmutableBTree(keys, poss, self.fanout_imm)
+        self._reset_subindexes()
+        self.n_merges = src.n_merges + 1
+        self.merged_elements = src.merged_elements + len(keys)
+        return len(keys)
 
     @property
     def n_subindexes(self) -> int:
@@ -110,19 +145,23 @@ class PIMTree:
     def needs_merge(self) -> bool:
         return self._n_i >= self.merge_threshold
 
-    def route(self, key: int) -> int:
-        """Sub-index covering ``key`` (T_S traversal to depth D_I; routed
-        through the cached node bounds — see ``_reset_subindexes``)."""
+    def span(self, lo: int, hi: int) -> tuple[int, int]:
+        """First and last sub-index whose key range meets ``[lo, hi]``.
+
+        Bands are narrow relative to partition widths: when ``hi`` falls
+        inside ``lo``'s partition the second search is skipped (the
+        common case; mirrors Algorithm 2's range check).
+        """
         b = self._bounds
-        if not b:
-            return 0
-        i = bisect.bisect_left(b, key)
-        n1 = len(self.subindexes) - 1
-        return i if i < n1 else n1
+        i0 = bisect_left(b, lo)
+        if i0 == len(b) or hi <= b[i0]:
+            return i0, i0
+        return i0, bisect_left(b, hi, i0 + 1)
 
     # -- operations (Algorithm 1) -----------------------------------------
     def insert(self, key: int, pos: int) -> None:
-        i = self.route(key)
+        b = self._bounds
+        i = bisect_left(b, key) if b else 0
         if not self.use_locks:
             self.subindexes[i].insert(key, pos)
             self.insert_counts[i] += 1
@@ -144,12 +183,7 @@ class PIMTree:
 
         Returns the merged element count (linear merge cost, Fig. 14).
         """
-        keys, poss = _merged_arrays(self, min_pos)
-        self.t_s = ImmutableBTree(keys, poss, self.fanout_imm)
-        self._reset_subindexes()
-        self.n_merges += 1
-        self.merged_elements += len(keys)
-        return len(keys)
+        return self._rebuild(self, min_pos)
 
     @classmethod
     def merged_copy(cls, old: "PIMTree", min_pos: int) -> "PIMTree":
@@ -164,11 +198,7 @@ class PIMTree:
             old.fanout_imm,
             use_locks=old.use_locks,
         )
-        keys, poss = _merged_arrays(old, min_pos)
-        new.t_s = ImmutableBTree(keys, poss, new.fanout_imm)
-        new._reset_subindexes()
-        new.n_merges = old.n_merges + 1
-        new.merged_elements = old.merged_elements + len(keys)
+        new._rebuild(old, min_pos)
         return new
 
     def search_range(
@@ -176,36 +206,35 @@ class PIMTree:
     ) -> list[tuple[int, int]]:
         """Matches from T_S (expiry-filtered) and the covering sub-indexes.
 
-        Walks sub-indexes ``route(lo)..route(hi)`` under their locks —
-        the lock hand-off of Algorithm 2's linked-leaf scan, expressed per
+        Walks the sub-indexes of ``span(lo, hi)`` under their locks — the
+        lock hand-off of Algorithm 2's linked-leaf scan, expressed per
         partition.
         """
         sk, sp = self.t_s.search_range(lo, hi, min_pos)
         out = list(zip(sk, sp))
-        i0 = self.route(lo)
+        # span(lo, hi), inlined: a method call here costs the IM-Tree
+        # (D_I = 0, one sub-index) ~5 % of its probe time
         b = self._bounds
-        # Bands are narrow relative to partition widths: when hi falls
-        # inside i0's range the second descent is skipped (the common
-        # case; mirrors Algorithm 2's range check).
-        if i0 >= len(b) or hi <= b[i0]:
-            i1 = i0
-        else:
-            i1 = self.route(hi)
-        # Empty sub-indexes are skipped without locking — Algorithm 2's
-        # range check against chains of empty sub-indexes; benign under
-        # concurrency because non-indexed tuples are covered by the
-        # parallel driver's linear window scan.
+        i = bisect_left(b, lo) if b else 0
+        last = i if i == len(b) or hi <= b[i] else bisect_left(b, hi, i + 1)
+        # Empty sub-indexes (no inserts since the last merge) are skipped
+        # without locking — Algorithm 2's range check against chains of
+        # empty sub-indexes; benign under concurrency because
+        # non-indexed tuples are covered by the parallel driver's linear
+        # window scan.
+        counts = self.insert_counts
         if not self.use_locks:
-            for i in range(i0, i1 + 1):
-                if len(self.subindexes[i]):
+            while i <= last:
+                if counts[i]:
                     out.extend(self.subindexes[i].search_range(lo, hi, min_pos))
+                i += 1
             return out
-        for i in range(i0, i1 + 1):
-            if not len(self.subindexes[i]):
-                continue
-            with self.locks[i]:
-                self.lock_acquisitions += 1
-                out.extend(self.subindexes[i].search_range(lo, hi, min_pos))
+        while i <= last:
+            if counts[i]:
+                with self.locks[i]:
+                    self.lock_acquisitions += 1
+                    out.extend(self.subindexes[i].search_range(lo, hi, min_pos))
+            i += 1
         return out
 
     def memory_bytes(self) -> int:

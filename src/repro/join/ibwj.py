@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro.baselines.bw_tree import BwTreeLike
 from repro.baselines.chained_index import ChainedIndex
 from repro.baselines.nlwj import NLWJWindow
 from repro.baselines.round_robin import RoundRobinIndex
-from repro.core.im_tree import IMTree
 from repro.core.pim_tree import PIMTree
 
 
@@ -57,8 +57,6 @@ class _Adapter:
     """One sliding window's index + expiry policy. ``pos`` is the
     per-stream arrival position (spos)."""
 
-    needs_expired_key = False  # True -> driver passes the expired key
-
     def insert(self, key: int, pos: int) -> None:
         raise NotImplementedError
 
@@ -81,8 +79,6 @@ class _Adapter:
 
 
 class BPlusAdapter(_Adapter):
-    needs_expired_key = True
-
     def __init__(self, window: int, fanout: int = 16) -> None:
         from repro.core.bplus_tree import BPlusTree
 
@@ -130,8 +126,6 @@ class ChainAdapter(_Adapter):
 
 
 class RoundRobinAdapter(_Adapter):
-    needs_expired_key = True
-
     def __init__(self, window: int, n_partitions: int) -> None:
         self.idx = RoundRobinIndex(window, n_partitions)
 
@@ -149,8 +143,6 @@ class RoundRobinAdapter(_Adapter):
 
 
 class BwAdapter(_Adapter):
-    needs_expired_key = True
-
     def __init__(self, window: int, page_capacity: int = 64) -> None:
         self.idx = BwTreeLike(page_capacity=page_capacity)
 
@@ -186,38 +178,6 @@ class NLWJAdapter(_Adapter):
         return self.win.window * 8
 
 
-class IMAdapter(_Adapter):
-    def __init__(self, window: int, merge_ratio: float = 0.125) -> None:
-        self.idx = IMTree(window, merge_ratio)
-        self.window = window
-
-    def insert(self, key: int, pos: int) -> None:
-        self.idx.insert(key, pos)
-
-    def maintain(self, min_pos: int, costs: StepCosts, measure: bool) -> None:
-        if self.idx.needs_merge():
-            t0 = time.perf_counter() if measure else 0.0
-            self.idx.merge(min_pos)
-            if measure:
-                costs.merge += time.perf_counter() - t0
-            costs.n_merges += 1
-
-    def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
-        return self.idx.search_range(lo, hi, min_pos)
-
-    def probe_split(self, lo, hi, min_pos):
-        t0 = time.perf_counter()
-        leaf, i = self.idx.t_i.seek(lo)
-        start = self.idx.t_s.find_start(lo)
-        t1 = time.perf_counter()
-        out = self.idx.t_i.scan(leaf, i, hi, min_pos)
-        out.extend(zip(*self.idx.t_s.scan(start, hi, min_pos)))
-        return out, t1 - t0, time.perf_counter() - t1
-
-    def memory_bytes(self) -> int:
-        return self.idx.memory_bytes()
-
-
 class PIMAdapter(_Adapter):
     def __init__(
         self,
@@ -246,19 +206,41 @@ class PIMAdapter(_Adapter):
         return self.idx.search_range(lo, hi, min_pos)
 
     def probe_split(self, lo, hi, min_pos):
+        """``search_range`` with its seeks timed as search and its leaf
+        scans as scan: the same span, empty-sub-index skip and locks."""
         idx = self.idx
+        locked = idx.use_locks
         t0 = time.perf_counter()
         start = idx.t_s.find_start(lo)
-        i0, i1 = idx.route(lo), idx.route(hi)
-        seeks = [idx.subindexes[i].seek(lo) for i in range(i0, i1 + 1)]
+        i0, i1 = idx.span(lo, hi)
         t1 = time.perf_counter()
         out = list(zip(*idx.t_s.scan(start, hi, min_pos)))
-        for j, (leaf, i) in enumerate(seeks):
-            out.extend(idx.subindexes[i0 + j].scan(leaf, i, hi, min_pos))
-        return out, t1 - t0, time.perf_counter() - t1
+        search, scan = t1 - t0, time.perf_counter() - t1
+        for i in range(i0, i1 + 1):
+            if not idx.insert_counts[i]:
+                continue
+            b = idx.subindexes[i]
+            t0 = time.perf_counter()
+            with idx.locks[i] if locked else nullcontext():
+                if locked:
+                    idx.lock_acquisitions += 1
+                leaf, j = b.seek(lo)
+                t1 = time.perf_counter()
+                out.extend(b.scan(leaf, j, hi, min_pos))
+            search += t1 - t0
+            scan += time.perf_counter() - t1
+        return out, search, scan
 
     def memory_bytes(self) -> int:
         return self.idx.memory_bytes()
+
+
+class IMAdapter(PIMAdapter):
+    """IM-Tree (paper §3.2): a PIM-Tree whose T_I is one sub-index
+    (insertion depth 0, the root), used without locks."""
+
+    def __init__(self, window: int, merge_ratio: float = 0.125) -> None:
+        super().__init__(window, merge_ratio, insertion_depth=0, use_locks=False)
 
 
 ADAPTERS = {

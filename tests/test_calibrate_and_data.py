@@ -1,5 +1,5 @@
 """Tests for the calibration bridge (measurements -> simulator service
-times) and for the provided synthetic-data + DuckDB-oracle plumbing."""
+times)."""
 import pytest
 
 from repro.bench.calibrate import (
@@ -7,8 +7,6 @@ from repro.bench.calibrate import (
     service_times_bw,
     service_times_pim,
 )
-from repro.oracle import assert_equivalent
-from repro.synth_data import uniform_keys, zipf_keys
 
 
 @pytest.fixture(scope="module")
@@ -56,22 +54,3 @@ def test_measure_bplus_has_delete_cost():
     cal = measure("bplus", 1 << 10, n_process=1500)
     assert cal.per_tuple["delete"] > 0
     assert cal.per_tuple["merge"] == 0.0
-
-
-# -------- provided substrate: synth_data generators + DuckDB oracle ----
-def test_uniform_keys_roundtrip(spark):
-    df = uniform_keys(spark, n=2000, n_keys=100)
-    agg = df.groupBy("k").count().withColumnRenamed("count", "c")
-    assert_equivalent(
-        agg,
-        "SELECT k, COUNT(*) AS c FROM t GROUP BY k",
-        t=df,
-    )
-
-
-def test_zipf_keys_are_skewed(spark):
-    df = zipf_keys(spark, n=5000, n_keys=1000, alpha=1.5)
-    top = (
-        df.groupBy("k").count().orderBy("count", ascending=False).limit(1)
-    ).collect()[0]["count"]
-    assert top > 5000 * 0.1  # head key dominates under zipf(1.5)

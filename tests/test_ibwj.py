@@ -173,6 +173,29 @@ def test_probe_split_runs_the_probe_scan(name):
         assert ad.idx.t_s.bytes_loaded - b1 == b1 - b0 > 0
 
 
+def test_pim_probe_split_takes_the_probe_locks():
+    """On a churned locking PIM-Tree the timed probe returns the same
+    matches as the untimed one and takes the same sub-index locks."""
+    import random
+
+    rnd = random.Random(6)
+    ad = ibwj.PIMAdapter(1024, 0.25, 2)
+    for pos in range(1, 4 * 1024 + 100):
+        ad.insert(rnd.randrange(100_000), pos)
+        ad.maintain(pos - 1023, ibwj.StepCosts(), measure=False)
+    assert ad.idx.n_subindexes > 1 and ad.idx.t_i_size > 0
+    min_pos = pos - 1023
+    for lo in range(0, 100_000, 1_700):
+        for width in (0, 50, 20_000):
+            l0 = ad.idx.lock_acquisitions
+            want = ad.probe(lo, lo + width, min_pos)
+            l1 = ad.idx.lock_acquisitions
+            got, _, _ = ad.probe_split(lo, lo + width, min_pos)
+            assert got == want
+            assert ad.idx.lock_acquisitions - l1 == l1 - l0
+    assert ad.idx.lock_acquisitions > 0
+
+
 def test_pairs_df_schema():
     df = ibwj.pairs_df([(3, 1), (5, 2)])
     assert list(df.columns) == ["later_gpos", "earlier_gpos"]

@@ -1,11 +1,16 @@
-"""Unit tests for IM-Tree and PIM-Tree (merge, routing, expiry, locks)."""
+"""Unit tests for IM-Tree and PIM-Tree (merge, routing, expiry, locks).
+
+The IM-Tree is a PIM-Tree at insertion depth 0 without locks."""
 import threading
 
 import numpy as np
 import pytest
 
-from repro.core.im_tree import IMTree, merge_sorted
-from repro.core.pim_tree import PIMTree
+from repro.core.pim_tree import PIMTree, merge_sorted
+
+
+def im(window, merge_ratio):
+    return PIMTree(window, merge_ratio, 0, use_locks=False)
 
 
 def _churn(tree, n, w, seed=0, key_space=10**6):
@@ -43,7 +48,7 @@ def test_merge_sorted_empty_sides():
 
 
 @pytest.mark.parametrize("m", [0.0625, 0.125, 0.5, 1.0])
-@pytest.mark.parametrize("tree_cls", [IMTree, PIMTree])
+@pytest.mark.parametrize("tree_cls", [im, PIMTree])
 def test_live_contents_after_churn(tree_cls, m):
     w = 1024
     tree = tree_cls(w, m)
@@ -52,7 +57,7 @@ def test_live_contents_after_churn(tree_cls, m):
     assert got == live
 
 
-@pytest.mark.parametrize("tree_cls", [IMTree, PIMTree])
+@pytest.mark.parametrize("tree_cls", [im, PIMTree])
 def test_range_query_with_expiry(tree_cls):
     w = 512
     tree = tree_cls(w, 0.25)
@@ -73,7 +78,7 @@ def test_merge_ratio_controls_merge_frequency():
 
 
 def test_merge_threshold_is_m_times_w():
-    t = IMTree(1000, 0.25)
+    t = im(1000, 0.25)
     assert t.merge_threshold == 250
     t = PIMTree(1000, 1.0)
     assert t.merge_threshold == 1000
@@ -82,14 +87,34 @@ def test_merge_threshold_is_m_times_w():
 @pytest.mark.parametrize("bad_m", [0.0, -1.0, 1.5])
 def test_invalid_merge_ratio_rejected(bad_m):
     with pytest.raises(ValueError):
-        IMTree(100, bad_m)
+        im(100, bad_m)
     with pytest.raises(ValueError):
         PIMTree(100, bad_m)
 
 
 def test_pim_invalid_insertion_depth():
     with pytest.raises(ValueError):
-        PIMTree(100, 0.5, 0)
+        PIMTree(100, 0.5, -1)
+
+
+def test_depth0_keeps_one_subindex():
+    """D_I = 0 is the root: T_I stays one sub-index across merges (the
+    IM-Tree), and its insert counter counts every insert since the last
+    merge."""
+    w = 1024
+    t = im(w, 0.25)
+    rng = np.random.default_rng(14)
+    since_merge = 0
+    for p in range(1, 4 * w + 1):
+        assert t.n_subindexes == 1
+        t.insert(int(rng.integers(0, 10**6)), p)
+        since_merge += 1
+        assert t.insert_counts == [since_merge] == [t.t_i_size]
+        if t.needs_merge():
+            t.merge(p - w + 1)
+            since_merge = 0
+    assert t.n_merges == 16
+    assert t.n_subindexes == 1 and len(t.t_s) == w
 
 
 def test_pim_subindex_count_matches_ts_nodes():
@@ -102,13 +127,25 @@ def test_pim_subindex_count_matches_ts_nodes():
 
 
 def test_pim_route_matches_ts_route():
+    """Inserts and probes route like the per-level T_S descent to D_I
+    (``ImmutableBTree.route``, clamped to the last sub-index)."""
     w = 4096
-    t = PIMTree(w, 0.5, 2)
-    _churn(t, 3 * w, w, seed=5)
-    rng = np.random.default_rng(6)
-    for key in rng.integers(-10, 10**6 + 10, 500):
-        expect = min(t.t_s.route(int(key), 2), t.n_subindexes - 1)
-        assert t.route(int(key)) == expect
+    for d_i in (1, 2, 3):
+        t = PIMTree(w, 0.5, d_i)
+        _churn(t, 3 * w, w, seed=5)
+        rng = np.random.default_rng(6)
+        for p, key in enumerate(rng.integers(-10, 10**6 + 10, 500), 3 * w + 1):
+            t.insert(int(key), p)
+
+        def route(key):
+            return min(t.t_s.route(key, d_i), t.n_subindexes - 1)
+
+        assert t.n_subindexes > 1 and t.t_i_size == 500
+        for i, b in enumerate(t.subindexes):
+            assert all(route(k) == i for k, _ in b.items())
+        for lo in rng.integers(-10, 10**6 + 10, 200).tolist():
+            for hi in (lo, lo + 100, lo + 10**5):
+                assert t.span(lo, hi) == (route(lo), route(hi))
 
 
 def test_pim_insert_counts_track_inserts():
