@@ -16,8 +16,8 @@ Key mechanisms mirrored from the paper:
 
 - work queue entries carry AVAILABLE/ACTIVE/COMPLETED states; tasks are
   ``task_size`` consecutive tuples;
-- at acquisition, each tuple snapshots the opposite window boundaries
-  (t_l = opposite tuples seen, t_e = expiry bound);
+- each tuple's opposite window is fixed by its arrival: it ends at
+  t_l = opposite tuples seen and starts at t_e = t_l - w + 1;
 - per stream, an *edge* position marks the earliest non-indexed tuple;
   lookups combine an index probe (results filtered to pos < edge
   snapshot) with a linear window scan over [edge snapshot, t_l];
@@ -39,12 +39,12 @@ AVAILABLE, ACTIVE, COMPLETED = 0, 1, 2
 
 
 class _StreamState:
-    """Shared per-stream state: window arrays, index, edge tuple."""
+    """Shared per-stream state: window lists, index, edge tuple."""
 
     def __init__(self, window: int, n_max: int, merge_ratio: float, d_i: int) -> None:
         self.window = window
-        self.keys = np.zeros(n_max + 1, np.int64)  # key by spos
-        self.indexed = np.zeros(n_max + 1, bool)  # spos -> indexed?
+        self.keys = [0] * (n_max + 1)  # key by spos
+        self.indexed = [False] * (n_max + 1)  # spos -> indexed?
         self.index = PIMTree(window, merge_ratio, d_i)
         self.count = 0  # tuples admitted (spos assigned)
         self.edge = 1  # earliest non-indexed spos
@@ -106,15 +106,14 @@ class ParallelIBWJ:
         self.diff = diff
         self.n_threads = n_threads
         self.task_size = task_size
-        self.self_join = self_join
         self.blocking_merge = blocking_merge
         n = len(seq)
-        self.sides = seq["side"].to_numpy()
-        self.sposs = seq["spos"].to_numpy().astype(np.int64)
-        self.xs = seq["x"].to_numpy().astype(np.int64)
-        self.opps = seq["opp_seen"].to_numpy().astype(np.int64)
-        self.gposs = seq["gpos"].to_numpy().astype(np.int64)
         self.win = {"R": w_r, "S": w_s}
+        # Stream whose window a tuple of each side joins with; for the
+        # self-join that is its own stream.
+        self.opp_of = (
+            {"R": "R", "S": "S"} if self_join else {"R": "S", "S": "R"}
+        )
         r_state = _StreamState(w_r, n, merge_ratio, insertion_depth)
         self.state = {
             "R": r_state,
@@ -127,7 +126,7 @@ class ParallelIBWJ:
         # evict below the window of the earliest incomplete tuple (§4.1:
         # windows store everything active tuples still need); that bound
         # is cnt_before[side][head] - w + 1.
-        is_r = self.sides == "R"
+        is_r = seq["side"].to_numpy() == "R"
         self.cnt_before = {
             "R": np.concatenate([[0], np.cumsum(is_r)]).astype(np.int64),
             "S": np.concatenate([[0], np.cumsum(~is_r)]).astype(np.int64),
@@ -137,14 +136,23 @@ class ParallelIBWJ:
         # gpos_of[side][spos] = gpos of that ``side``-stream tuple: result
         # pairs name the earlier tuple by spos, propagation by gpos.
         self.gpos_of: dict[str, list[int]] = {}
+        all_sposs = seq["spos"].to_numpy()
+        all_gposs = seq["gpos"].to_numpy()
         for side, mask in (("R", is_r), ("S", ~is_r)):
-            sposs = self.sposs[mask]
+            sposs = all_sposs[mask]
             gpos = np.zeros(int(sposs.max(initial=0)) + 1, np.int64)
-            gpos[sposs] = self.gposs[mask]
+            gpos[sposs] = all_gposs[mask]
             self.gpos_of[side] = gpos.tolist()
+        # Per-tuple inputs, filled by run(): side, spos, key, opposite
+        # tuples seen (t_l) and gpos, indexed by queue position.
+        self.sides: list[str] = []
+        self.sposs: list[int] = []
+        self.xs: list[int] = []
+        self.opps: list[int] = []
+        self.gposs: list[int] = []
+        self.ran = False
         # Work queue: one slot per tuple; guarded by queue_mutex.
-        self.status = np.full(n, AVAILABLE, np.int8)
-        self.t_l = np.zeros(n, np.int64)  # opposite count at assignment
+        self.status = [AVAILABLE] * n
         self.next_task = 0
         self.queue_mutex = threading.Lock()
         self.head = 0  # earliest unpropagated tuple
@@ -155,7 +163,7 @@ class ParallelIBWJ:
         self.merge_gate.set()
         self.merge_mutex = threading.Lock()
         self.n_merges = 0
-        self.scan_len = np.zeros(n, np.int64)  # per tuple, one writer each
+        self.scan_len = [0] * n  # per tuple, one writer each
         # Guarded by the merging stream's index_swap: merge_mutex lets one
         # stream merge at a time.
         self.deferred_inserts = 0
@@ -171,26 +179,22 @@ class ParallelIBWJ:
             self.next_task = b
             for t in range(a, b):
                 self.status[t] = ACTIVE
-                side = self.sides[t]
-                opp = side if self.self_join else ("S" if side == "R" else "R")
-                # Snapshot of the opposite window head (t_l). For the
-                # self-join the "opposite" stream is the same stream: the
-                # window head is everything admitted before this tuple.
-                self.t_l[t] = self.opps[t]
-                st = self.state[side]
-                st.count = max(st.count, int(self.sposs[t]))
-                st.keys[int(self.sposs[t])] = int(self.xs[t])
+                st = self.state[self.sides[t]]
+                spos = self.sposs[t]
+                st.count = max(st.count, spos)
+                st.keys[spos] = self.xs[t]
         return a, b
 
     # -- result generation ------------------------------------------------
     def _lookup(self, t: int) -> list[tuple[int, int]]:
-        side = self.sides[t]
-        opp_side = side if self.self_join else ("S" if side == "R" else "R")
+        opp_side = self.opp_of[self.sides[t]]
         ost = self.state[opp_side]
-        w_opp = self.win[opp_side]
-        t_l = int(self.t_l[t])
-        t_e = t_l - w_opp + 1
-        x = int(self.xs[t])
+        # The opposite window is [t_e, t_l]. For the self-join the
+        # "opposite" stream is the same stream: everything admitted
+        # before this tuple.
+        t_l = self.opps[t]
+        t_e = t_l - self.win[opp_side] + 1
+        x = self.xs[t]
         lo, hi = x - self.diff, x + self.diff
         edge_snapshot = min(ost.edge, t_l + 1)  # stale value is safe
         with ost.index_swap:
@@ -198,33 +202,35 @@ class ParallelIBWJ:
         matches = [
             (k, p)
             for k, p in index.search_range(lo, hi, max(t_e, 1))
-            if p < edge_snapshot and p <= t_l
+            if p < edge_snapshot
         ]
         # Linear scan of the non-indexed window region [edge, t_l].
         scan_from = max(edge_snapshot, t_e, 1)
         if scan_from <= t_l:
             self.scan_len[t] = t_l + 1 - scan_from
-            for p in range(scan_from, t_l + 1):
-                k = int(ost.keys[p])
-                if lo <= k <= hi:
-                    matches.append((k, p))
+            matches += [
+                (k, p)
+                for p, k in enumerate(ost.keys[scan_from : t_l + 1], scan_from)
+                if lo <= k <= hi
+            ]
         return matches
 
     # -- index update -----------------------------------------------------
     def _index_update(self, t: int) -> None:
         side = self.sides[t]
         st = self.state[side]
-        spos = int(self.sposs[t])
+        spos = self.sposs[t]
+        x = self.xs[t]
         with st.index_swap:
             if st.merging:
                 # §4.2 phase 1: no index updates while the new tree is
                 # built; the tuple stays non-indexed (edge cannot pass it,
                 # so lookups find it via the linear window scan).
-                st.pending.append((int(self.xs[t]), spos))
+                st.pending.append((x, spos))
                 self.deferred_inserts += 1
                 deferred = True
             else:
-                st.index.insert(int(self.xs[t]), spos)
+                st.index.insert(x, spos)
                 deferred = False
         if not deferred:
             st.indexed[spos] = True
@@ -288,13 +294,8 @@ class ParallelIBWJ:
             n = len(self.status)
             while self.head < n and self.status[self.head] == COMPLETED:
                 t = self.head
-                g = int(self.gposs[t])
-                opp_side = (
-                    self.sides[t]
-                    if self.self_join
-                    else ("S" if self.sides[t] == "R" else "R")
-                )
-                gpos_of = self.gpos_of[opp_side]
+                g = self.gposs[t]
+                gpos_of = self.gpos_of[self.opp_of[self.sides[t]]]
                 self.out.extend((g, gpos_of[p]) for _, p in self.results[t])
                 self.results[t] = None
                 self.head += 1
@@ -303,6 +304,14 @@ class ParallelIBWJ:
 
     # -- driver -----------------------------------------------------------
     def run(self) -> ParallelResult:
+        """Join the whole stream once. The queue, windows and indexes are
+        consumed, so a second call raises ``RuntimeError``."""
+        if self.ran:
+            raise RuntimeError(
+                "ParallelIBWJ.run() joins a stream once; build a new "
+                "ParallelIBWJ to join it again"
+            )
+        self.ran = True
         errors: list[BaseException] = []
 
         def worker() -> None:
@@ -321,6 +330,16 @@ class ParallelIBWJ:
                 errors.append(e)
 
         t0 = time.perf_counter()
+        # Plain lists, like run_ibwj's: workers read these several times
+        # per tuple, and a numpy scalar read plus int() costs several
+        # times a list read. Built here, inside the timed region, because
+        # the conversion is part of the join's cost.
+        seq = self.seq
+        self.sides = seq["side"].to_numpy().tolist()
+        self.sposs = seq["spos"].to_numpy().tolist()
+        self.xs = seq["x"].to_numpy().tolist()
+        self.opps = seq["opp_seen"].to_numpy().tolist()
+        self.gposs = seq["gpos"].to_numpy().tolist()
         threads = [
             threading.Thread(target=worker, daemon=True)
             for _ in range(self.n_threads)
@@ -340,6 +359,6 @@ class ParallelIBWJ:
             len(self.status),
             elapsed,
             self.n_merges,
-            scanned_positions=int(self.scan_len.sum()),
+            scanned_positions=sum(self.scan_len),
             deferred_inserts=self.deferred_inserts,
         )

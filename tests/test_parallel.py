@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.join.parallel import ParallelIBWJ
+from repro.join.parallel import ParallelIBWJ, _StreamState
 from repro.join.streams import (
     diff_for_match_rate,
     gen_stream,
     reference_pairs,
 )
+
+pytestmark = pytest.mark.filterwarnings("error")
 
 
 def _check(seq, w_r, w_s, diff, *, self_join=False, **kw):
@@ -122,6 +124,45 @@ def test_edge_never_passes_unindexed(monkeypatch):
         st = j.state[side]
         for p in range(1, st.edge):
             assert st.indexed[p]
+
+
+@pytest.mark.parametrize(
+    "self_join, w_r, w_s, expected",
+    [(False, 64, 128, 133_728), (True, 96, 96, 139_344)],
+    ids=["two_way", "self_join"],
+)
+def test_window_scan_alone_finds_every_match(
+    monkeypatch, self_join, w_r, w_s, expected
+):
+    """With the edge pinned at the first position no index hit is kept,
+    so the linear scan over each tuple's whole opposite window must find
+    every match, once, and report every position it read."""
+    monkeypatch.setattr(_StreamState, "advance_edge", lambda self: None)
+    seq = gen_stream(1500, seed=3, self_join=self_join)
+    diff = diff_for_match_rate(2.0, max(w_r, w_s))
+    res = _check(
+        seq, w_r, w_s, diff,
+        self_join=self_join, n_threads=4, task_size=4, merge_ratio=0.25,
+    )
+    assert res.n_merges > 0
+    win = {"R": w_r, "S": w_s}
+    opp = {"R": "R", "S": "S"} if self_join else {"R": "S", "S": "R"}
+    full_windows = sum(
+        min(seen, win[opp[side]])
+        for side, seen in zip(seq["side"], seq["opp_seen"])
+    )
+    assert res.scanned_positions == full_windows == expected
+
+
+def test_run_is_single_shot():
+    """A second run() would find the queue drained and report the first
+    run's pairs at a bogus rate; it must refuse instead."""
+    w = 64
+    seq = gen_stream(600, seed=11)
+    j = ParallelIBWJ(seq, w, w, diff_for_match_rate(2.0, w), n_threads=2)
+    j.run()
+    with pytest.raises(RuntimeError, match="once"):
+        j.run()
 
 
 def test_throughput_and_counts_reported():
