@@ -81,11 +81,7 @@ class ChainedIndex:
         """Search every sub-index in the chain, filtering expired tuples."""
         out = self.active.search_range(lo, hi, min_pos)
         for idx, _, _ in self.archived:
-            if isinstance(idx, ImmutableBTree):
-                k, p = idx.search_range(lo, hi, min_pos)
-                out.extend(zip(k, p))
-            else:
-                out.extend(idx.search_range(lo, hi, min_pos))  # type: ignore[union-attr]
+            out.extend(idx.search_range(lo, hi, min_pos))  # type: ignore[union-attr]
         return out
 
     def memory_bytes(self) -> int:

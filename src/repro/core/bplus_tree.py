@@ -19,6 +19,8 @@ from __future__ import annotations
 import bisect
 from typing import Iterator
 
+import numpy as np
+
 _ELEM_BYTES = 8  # 4 B key + 4 B window reference, as in the paper (Fig 11a)
 _PTR_BYTES = 8
 
@@ -224,25 +226,27 @@ class BPlusTree:
         leaf, i = self.seek(lo)
         return self.scan(leaf, i, hi, min_pos)
 
-    def items_arrays(self):
-        """All elements in key order as numpy arrays (keys, poss).
+    def items_arrays(self, *more: "BPlusTree") -> tuple[np.ndarray, np.ndarray]:
+        """All elements of this tree, then of each tree in ``more``, as
+        numpy arrays (keys, poss); each tree's part is in key order.
 
-        Collected leaf-by-leaf with list extends — this is the bulk
-        extraction path merges use; per-element Python iteration would
-        dominate the (linear) merge cost otherwise.
+        Collected leaf-by-leaf with list extends into one pair of lists,
+        converted once — this is the bulk extraction path merges use (a
+        PIM-Tree passes all its sub-indexes in one call); per-element
+        Python iteration, or one array pair per tree, would dominate the
+        (linear) merge cost otherwise.
         """
-        import numpy as np
-
-        node = self._root
-        while isinstance(node, _Inner):
-            node = node.children[0]
         keys: list[int] = []
         poss: list[int] = []
-        leaf: _Leaf | None = node
-        while leaf is not None:
-            keys.extend(leaf.keys)
-            poss.extend(leaf.poss)
-            leaf = leaf.nxt
+        for tree in (self, *more):
+            node = tree._root
+            while isinstance(node, _Inner):
+                node = node.children[0]
+            leaf: _Leaf | None = node
+            while leaf is not None:
+                keys += leaf.keys
+                poss += leaf.poss
+                leaf = leaf.nxt
         return np.asarray(keys, np.int64), np.asarray(poss, np.int64)
 
     def items(self) -> Iterator[tuple[int, int]]:

@@ -13,11 +13,14 @@ key of that node's subtree); node ``p`` at depth d>=1 owns the slice
 leaf chunk; leaf chunk ``p`` is ``keys[p*leaf_size : (p+1)*leaf_size]``.
 
 Storage is numpy (canonical, used by merge/build vectorisation) plus
-plain-list mirrors for the per-node descent: scalar ``np.searchsorted``
-carries ~1 us of call overhead per node, which would invert the paper's
-single-op cost ordering (an immutable-tree probe must be *cheaper* than
-a classic B+-Tree descent); ``bisect`` on a list with explicit bounds is
-an order of magnitude cheaper and preserves the per-node semantics.
+plain-list mirrors for the hot path: a range search bisects the
+element-key list for both ends of the range, and ``route`` bisects the
+inner-level lists node by node. Scalar ``np.searchsorted`` carries ~1 us
+of call overhead, which would invert the paper's single-op cost ordering
+(an immutable-tree probe must be *cheaper* than a classic B+-Tree
+descent); ``bisect`` on a list is an order of magnitude cheaper. A range
+search returns Python ``(key, pos)`` pairs sliced from the mirrors, so
+callers extend their result lists without converting.
 """
 from __future__ import annotations
 
@@ -54,6 +57,9 @@ class ImmutableBTree:
         self._poss_list: list[int] = self.poss.tolist()
         self._level_lists: list[list[int]] = [a.tolist() for a in self.levels]
         self._level_lens: list[int] = [len(a) for a in self._level_lists]
+        self._n = len(self._keys_list)
+        # modelled bytes of one root-to-leaf descent, charged per probe
+        self._descent_bytes = (self.height + 1) * self.fanout * 4
         self.bytes_loaded = 0
 
     @classmethod
@@ -138,7 +144,7 @@ class ImmutableBTree:
         return p
 
     def find_start(self, lo: int) -> int:
-        """Global element index of the first key >= lo.
+        """Global element index of the first key >= lo (the seek).
 
         Implemented as one bounded binary search over the contiguous leaf
         array — the comparison sequence a maximal-fan-out CSS descent
@@ -147,42 +153,31 @@ class ImmutableBTree:
         lambda_ib^s < lambda_b^s). ``route`` keeps the explicit per-level
         descent as the reference for partition routing.
         """
-        n = len(self.keys)
-        if n == 0:
+        n = self._n
+        if not n:
             return 0
-        self.bytes_loaded += (self.height + 1) * self.fanout * 4
+        self.bytes_loaded += self._descent_bytes
         return bisect.bisect_left(self._keys_list, lo, 0, n)
+
+    def scan(self, start: int, hi: int, min_pos: int = -1) -> list[tuple[int, int]]:
+        """``(key, pos)`` pairs from element ``start`` (a ``find_start``
+        result) while key <= hi, dropping pairs with pos < min_pos."""
+        keys = self._keys_list
+        end = bisect.bisect_right(keys, hi, start, self._n)
+        if end <= start:
+            return []
+        self.bytes_loaded += (end - start) * _ELEM_BYTES
+        pairs = zip(keys[start:end], self._poss_list[start:end])
+        if min_pos <= 0:
+            return list(pairs)
+        return [kp for kp in pairs if kp[1] >= min_pos]
 
     def search_range(
         self, lo: int, hi: int, min_pos: int = -1
-    ) -> tuple[list[int], list[int]]:
-        """Elements with lo <= key <= hi and pos >= min_pos (expiry filter).
-
-        Descent via the inner levels, then a linear leaf scan; returns
-        (keys, poss) lists sorted by key.
-        """
+    ) -> list[tuple[int, int]]:
+        """``(key, pos)`` pairs with lo <= key <= hi and pos >= min_pos
+        (expiry filter), sorted by key: the seek, then the scan."""
         return self.scan(self.find_start(lo), hi, min_pos)
-
-    def scan(
-        self, start: int, hi: int, min_pos: int = -1
-    ) -> tuple[list[int], list[int]]:
-        """Leaf scan from element ``start`` (a ``find_start`` result)
-        while key <= hi, dropping elements with pos < min_pos."""
-        n = len(self.keys)
-        if start >= n:
-            return [], []
-        end = bisect.bisect_right(self._keys_list, hi, start, n)
-        if end <= start:
-            return [], []
-        self.bytes_loaded += (end - start) * _ELEM_BYTES
-        k = self._keys_list[start:end]
-        p = self._poss_list[start:end]
-        if min_pos > 0:
-            live = [j for j, pp in enumerate(p) if pp >= min_pos]
-            if len(live) != len(p):
-                k = [k[j] for j in live]
-                p = [p[j] for j in live]
-        return k, p
 
     def partition_bounds(self, depth: int) -> np.ndarray:
         """Upper key bounds of the depth-``depth`` nodes: sub-index ``i``

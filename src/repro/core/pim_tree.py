@@ -90,7 +90,11 @@ class PIMTree:
         self.subindexes: list[BPlusTree] = [
             BPlusTree(self.fanout_mut) for _ in range(n)
         ]
-        self.locks = [threading.Lock() for _ in range(n)]
+        # Trees without concurrency control never lock, so they build no
+        # locks at each merge.
+        self.locks = (
+            [threading.Lock() for _ in range(n)] if self.use_locks else []
+        )
         self._n_i = 0
         # Inserts per sub-index since the merge; sub-indexes never delete,
         # so this is also each one's size. A plain list: a numpy scalar
@@ -112,15 +116,15 @@ class PIMTree:
         its sub-index elements, re-initialise the sub-indexes against the
         new partitioning, and continue ``src``'s merge counters.
 
-        Sub-indexes cover disjoint ascending key ranges, so concatenating
-        their (leaf-chain-sorted) arrays in partition order yields one
-        sorted T_I run; the T_S run is then merged in linear time.
-        Returns the merged element count (linear merge cost, Fig. 14).
+        Sub-indexes cover disjoint ascending key ranges, so walking the
+        leaf chains of the non-empty ones in partition order, in one
+        ``items_arrays`` call, yields one sorted T_I run; the T_S run is
+        then merged in linear time. Returns the merged element count
+        (linear merge cost, Fig. 14).
         """
-        parts = [b.items_arrays() for b in src.subindexes if len(b)]
+        parts = [b for b, c in zip(src.subindexes, src.insert_counts) if c]
         if parts:
-            ik = np.concatenate([k for k, _ in parts])
-            ip = np.concatenate([p for _, p in parts])
+            ik, ip = parts[0].items_arrays(*parts[1:])
         else:
             ik = ip = np.empty(0, np.int64)
         live = src.t_s.poss >= min_pos
@@ -210,8 +214,7 @@ class PIMTree:
         lock hand-off of Algorithm 2's linked-leaf scan, expressed per
         partition.
         """
-        sk, sp = self.t_s.search_range(lo, hi, min_pos)
-        out = list(zip(sk, sp))
+        out = self.t_s.search_range(lo, hi, min_pos)
         # span(lo, hi), inlined: a method call here costs the IM-Tree
         # (D_I = 0, one sub-index) ~5 % of its probe time
         b = self._bounds

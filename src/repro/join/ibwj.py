@@ -214,7 +214,7 @@ class PIMAdapter(_Adapter):
         start = idx.t_s.find_start(lo)
         i0, i1 = idx.span(lo, hi)
         t1 = time.perf_counter()
-        out = list(zip(*idx.t_s.scan(start, hi, min_pos)))
+        out = idx.t_s.scan(start, hi, min_pos)
         search, scan = t1 - t0, time.perf_counter() - t1
         for i in range(i0, i1 + 1):
             if not idx.insert_counts[i]:

@@ -155,6 +155,31 @@ def test_items_arrays_matches_items():
     assert list(ka) == sorted(ka)
 
 
+def test_items_arrays_of_many_trees_concatenates():
+    """``items_arrays(*more)`` walks every tree in one pass; the result is
+    the concatenation of the per-tree arrays, with empty trees, trees
+    several levels deep, and a duplicate-key run across leaf boundaries."""
+    rng = np.random.default_rng(7)
+    empty = BPlusTree(4)
+    deep = BPlusTree(4)
+    for i, k in enumerate(rng.integers(0, 10**6, 3000), 1):
+        deep.insert(int(k), i)
+    dups = BPlusTree(4)
+    for i in range(1, 41):
+        dups.insert(100 + (i % 3 == 0), i)  # a 27-element run of key 100
+    single = BPlusTree(8)
+    single.insert(5, 1)
+    assert deep.height >= 4 and dups.height >= 2
+    trees = [empty, deep, BPlusTree(16), dups, single]
+    ka, pa = trees[0].items_arrays(*trees[1:])
+    parts = [t.items_arrays() for t in trees]
+    assert ka.dtype == pa.dtype == np.int64
+    assert ka.tolist() == np.concatenate([k for k, _ in parts]).tolist()
+    assert pa.tolist() == np.concatenate([p for _, p in parts]).tolist()
+    assert len(ka) == sum(len(t) for t in trees)
+    assert empty.items_arrays(empty)[0].size == 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     keys=st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=300),

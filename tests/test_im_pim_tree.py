@@ -174,6 +174,29 @@ def test_pim_uniform_keys_spread_inserts_across_subindexes():
     assert counts.max() / counts.mean() < 3.0
 
 
+def test_pim_merge_equals_lexsort_reference():
+    """A depth-2 merge over 512+ sub-indexes yields exactly the live T_S
+    elements plus every T_I element, ordered by (key, pos): T_I is
+    extracted in one pass over all sub-indexes, then merged with T_S."""
+    w = 1 << 15
+    t = PIMTree(w, 0.125, 2)
+    _churn(t, w + w // 2, w, seed=15, key_space=10**5)  # duplicate keys
+    p0 = w + w // 2
+    rng = np.random.default_rng(16)
+    for p in range(p0 + 1, p0 + t.merge_threshold):
+        t.insert(int(rng.integers(0, 10**5)), p)
+    assert t.n_subindexes >= 512 and not t.needs_merge()
+    min_pos = p0 + t.merge_threshold - w
+    live = t.t_s.poss >= min_pos
+    ti = np.array([e for b in t.subindexes for e in b.items()], np.int64)
+    keys = np.concatenate([t.t_s.keys[live], ti[:, 0]])
+    poss = np.concatenate([t.t_s.poss[live], ti[:, 1]])
+    order = np.lexsort((poss, keys))
+    assert t.merge(min_pos) == len(keys)
+    assert t.t_s.keys.tolist() == keys[order].tolist()
+    assert t.t_s.poss.tolist() == poss[order].tolist()
+
+
 def test_pim_merged_copy_preserves_old():
     w = 1024
     t = PIMTree(w, 1.0, 2)

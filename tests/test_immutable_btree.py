@@ -55,25 +55,23 @@ def test_search_range_matches_mask(n):
     for _ in range(50):
         lo = int(rng.integers(-5, 10**6))
         hi = lo + int(rng.integers(0, 10**5))
-        k, p = t.search_range(lo, hi)
         m = (keys >= lo) & (keys <= hi)
-        assert k == keys[m].tolist()
-        assert sorted(p) == sorted(poss[m].tolist())
+        assert t.search_range(lo, hi) == list(zip(keys[m].tolist(), poss[m].tolist()))
 
 
 def test_search_range_min_pos_filter():
     keys = np.arange(100)
     poss = np.arange(1, 101)
     t = ImmutableBTree(keys, poss, 8, 8)
-    k, p = t.search_range(0, 99, min_pos=51)
-    assert min(p) == 51 and len(k) == 50
+    got = t.search_range(0, 99, min_pos=51)
+    assert min(p for _, p in got) == 51 and len(got) == 50
 
 
 def test_empty_tree():
     t = ImmutableBTree.empty()
     assert len(t) == 0
     assert t.height == 0
-    assert t.search_range(0, 100) == ([], [])
+    assert t.search_range(0, 100) == []
     assert t.find_start(5) == 0
     assert t.n_nodes_at_depth(2) == 1
     assert len(t.partition_bounds(2)) == 0
@@ -125,10 +123,8 @@ def test_duplicate_keys_all_returned():
     keys = np.array([5] * 50 + [7] * 30)
     poss = np.arange(1, 81)
     t = ImmutableBTree(np.sort(keys), poss, 4, 4)
-    k, p = t.search_range(5, 5)
-    assert len(k) == 50
-    k, p = t.search_range(5, 7)
-    assert len(k) == 80
+    assert len(t.search_range(5, 5)) == 50
+    assert len(t.search_range(5, 7)) == 80
 
 
 @settings(max_examples=40, deadline=None)
@@ -142,5 +138,38 @@ def test_property_search_range(data, lo, width):
     poss = np.arange(1, len(keys) + 1)
     t = ImmutableBTree(keys, poss, 4, 4)
     hi = lo + width
-    k, _ = t.search_range(lo, hi)
-    assert k == [x for x in keys.tolist() if lo <= x <= hi]
+    got = t.search_range(lo, hi)
+    assert [k for k, _ in got] == [x for x in keys.tolist() if lo <= x <= hi]
+
+
+@settings(max_examples=60)
+@given(
+    data=st.lists(st.integers(0, 60), max_size=300),
+    fanout=st.sampled_from([2, 4, 32]),
+    probes=st.lists(
+        st.tuples(st.integers(-5, 70), st.integers(-10, 30), st.integers(-1, 320)),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_property_search_range_pairs_and_bytes(data, fanout, probes):
+    """The ``(key, pos)`` pairs equal a numpy-mask brute force (duplicate
+    keys, empty trees, empty ``hi < lo`` ranges, ``min_pos`` filtering),
+    and each call charges one descent, ``(height + 1) * fanout * 4`` B on a
+    non-empty tree, plus 8 B per element in ``[lo, hi]`` (expired ones
+    included): the T16 bandwidth model."""
+    keys = np.sort(np.asarray(data, np.int64))
+    poss = np.random.default_rng(len(data)).permutation(len(keys)) + 1
+    t = ImmutableBTree(keys, poss, fanout)
+    descent = (t.height + 1) * fanout * 4 if len(keys) else 0
+    for lo, width, min_pos in probes:
+        hi = lo + width
+        in_range = (keys >= lo) & (keys <= hi)
+        live = in_range & (poss >= min_pos)
+        before = t.bytes_loaded
+        got = t.search_range(lo, hi, min_pos)
+        assert got == list(zip(keys[live].tolist(), poss[live].tolist()))
+        assert t.bytes_loaded - before == descent + 8 * int(in_range.sum())
+        before = t.bytes_loaded
+        assert t.scan(t.find_start(lo), hi, min_pos) == got
+        assert t.bytes_loaded - before == descent + 8 * int(in_range.sum())

@@ -22,11 +22,18 @@ def tracing(monkeypatch):
     return importlib.import_module("tracing")
 
 
-def test_index_tracer_times_every_merge_phase(tracing):
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda win: ibwj.IMAdapter(win, 0.25), id="im"),
+        pytest.param(lambda win: ibwj.PIMAdapter(win, 0.25, 2), id="pim"),
+    ],
+)
+def test_index_tracer_times_every_merge_phase(tracing, make):
     w = 256
     seq = gen_stream(6 * w, seed=1)
     tracer = tracing.IndexTracer(2 * w, merge_phases=True)
-    factory = tracer.factory(lambda win: ibwj.PIMAdapter(win, 0.25, 2))
+    factory = tracer.factory(make)
     with tracer.installed():
         res = ibwj.run_ibwj(
             seq, w, w, diff_for_match_rate(2.0, w), factory,
