@@ -27,6 +27,7 @@ from repro.baselines.chained_index import ChainedIndex
 from repro.baselines.nlwj import NLWJWindow
 from repro.baselines.round_robin import RoundRobinIndex
 from repro.core.pim_tree import PIMTree
+from repro.join.streams import gpos_by_spos
 
 
 @dataclass
@@ -280,6 +281,7 @@ def run_ibwj(
     measure: bool = False,
     warmup: int = 0,
     probe_during_warmup: bool = True,
+    owner: np.ndarray | None = None,
 ) -> JoinResult:
     """Run the three-step IBWJ loop over an arrival sequence.
 
@@ -290,6 +292,14 @@ def run_ibwj(
     the index state after warmup is identical (probes are read-only), so
     steady-state measurements are unaffected; it only avoids paying for
     throwaway probes on large windows.
+
+    ``owner`` is a boolean array aligned with ``seq``'s rows; ``None``
+    means every row inserts. A row with ``owner[t]`` False runs Step 1
+    only: a Spark bucket's band-replica rows probe but never insert.
+    With a delete-based adapter this leaves stale entries, because a
+    bucket sees only some spos and retires only on owner rows. Results
+    stay exact: every probe filters by ``min_pos``, and
+    ``BPlusTree.delete`` returns False on a missing element.
     """
     # Plain lists: per-tuple numpy scalar extraction would add ~1 us of
     # driver overhead per tuple and compress the index-cost differences
@@ -299,6 +309,7 @@ def run_ibwj(
     xs = seq["x"].to_numpy().tolist()
     opps = seq["opp_seen"].to_numpy().tolist()
     gposs = seq["gpos"].to_numpy().tolist()
+    owners = None if owner is None else np.asarray(owner, bool).tolist()
     n = len(seq)
 
     if self_join:
@@ -311,10 +322,9 @@ def run_ibwj(
     opp = {"R": idx_s, "S": idx_r}
     # gpos lookup by (side, spos) for pair materialisation, and the key
     # ring used to retire expired tuples from delete-based indexes.
-    gpos_of = {"R": [], "S": []}
+    gpos_of = gpos_by_spos(seq) if collect_pairs else None
     keyring: dict[str, list[int]] = {"R": [0] * w_r, "S": [0] * w_s}
     if self_join:
-        gpos_of["S"] = gpos_of["R"]
         keyring["S"] = keyring["R"]
 
     pairs: list[tuple[int, int]] | None = [] if collect_pairs else None
@@ -353,7 +363,9 @@ def run_ibwj(
             g = gposs[t]
             olist = gpos_of[opp_side]
             for _, mpos in matches:
-                pairs.append((g, olist[mpos - 1]))
+                pairs.append((g, olist[mpos]))
+        if owners is not None and not owners[t]:
+            continue
         # Step 2 — retire the tuple that falls out of this window.
         if spos > w_own:
             epos = spos - w_own
@@ -373,7 +385,6 @@ def run_ibwj(
             own[side].insert(x, spos)
         own[side].maintain(spos - w_own + 1, costs, measure)
         keyring[side][(spos - 1) % w_own] = x
-        gpos_of[side].append(gposs[t])
 
     elapsed = time.perf_counter() - t_start
     if gc_was_enabled:

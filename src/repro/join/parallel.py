@@ -34,6 +34,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.pim_tree import PIMTree
+from repro.join.streams import gpos_by_spos
 
 AVAILABLE, ACTIVE, COMPLETED = 0, 1, 2
 
@@ -135,14 +136,7 @@ class ParallelIBWJ:
             self.cnt_before["S"] = self.cnt_before["R"]
         # gpos_of[side][spos] = gpos of that ``side``-stream tuple: result
         # pairs name the earlier tuple by spos, propagation by gpos.
-        self.gpos_of: dict[str, list[int]] = {}
-        all_sposs = seq["spos"].to_numpy()
-        all_gposs = seq["gpos"].to_numpy()
-        for side, mask in (("R", is_r), ("S", ~is_r)):
-            sposs = all_sposs[mask]
-            gpos = np.zeros(int(sposs.max(initial=0)) + 1, np.int64)
-            gpos[sposs] = all_gposs[mask]
-            self.gpos_of[side] = gpos.tolist()
+        self.gpos_of = gpos_by_spos(seq)
         # Per-tuple inputs, filled by run(): side, spos, key, opposite
         # tuples seen (t_l) and gpos, indexed by queue position.
         self.sides: list[str] = []

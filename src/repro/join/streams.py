@@ -121,6 +121,21 @@ def gen_stream(
     )
 
 
+def gpos_by_spos(seq: pd.DataFrame) -> dict[str, list[int]]:
+    """``out[side][spos]`` = gpos of that ``side``-stream tuple, and 0
+    where ``seq`` has no such spos (a Spark bucket's spos are sparse)."""
+    sides = seq["side"].to_numpy()
+    sposs = seq["spos"].to_numpy()
+    gposs = seq["gpos"].to_numpy()
+    out = {}
+    for side in ("R", "S"):
+        mask = sides == side
+        g = np.zeros(int(sposs[mask].max(initial=0)) + 1, np.int64)
+        g[sposs[mask]] = gposs[mask]
+        out[side] = g.tolist()
+    return out
+
+
 def shifting_gaussian_stream(
     n_phase1: int,
     n_phase2: int,

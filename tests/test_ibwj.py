@@ -1,9 +1,11 @@
 """Oracle-equivalence tests for the single-threaded IBWJ driver across
 every index adapter and workload shape the paper evaluates."""
+import numpy as np
 import pytest
 
 from repro.join import ibwj
 from repro.join.streams import (
+    KEY_SPACE,
     diff_for_match_rate,
     gen_stream,
     reference_pairs,
@@ -34,6 +36,12 @@ def _run_and_check(seq, w_r, w_s, diff, factory, self_join=False):
     got = set(res.pairs)
     assert got == ref
     assert len(res.pairs) == len(ref)  # no duplicate results either
+    # An all-True owner mask is the unmasked run.
+    owned = ibwj.run_ibwj(
+        seq, w_r, w_s, diff, factory, self_join=self_join,
+        owner=np.ones(len(seq), bool),
+    )
+    assert owned.pairs == res.pairs and owned.n_matches == res.n_matches
     return res
 
 
@@ -92,6 +100,58 @@ def test_zero_diff_equijoin():
     w = 128
     seq = gen_stream(1500, seed=17, key_space=50)  # force duplicates
     _run_and_check(seq, w, w, 0, FACTORIES["pim_d2"])
+
+
+def _buckets(seq, n_buckets, diff):
+    """(rows, owner mask) per bucket under ``spark_join._assign_partitions``'
+    rule: a tuple is owned by bucket ``searchsorted(bounds, x)`` and probes
+    every bucket from ``searchsorted(bounds, x - diff)`` through
+    ``searchsorted(bounds, x + diff)``."""
+    x = seq["x"].to_numpy()
+    qs = np.arange(1, n_buckets) / n_buckets
+    bounds = np.quantile(x, qs).astype(np.int64)
+    own = np.searchsorted(bounds, x)
+    first, last = np.searchsorted(bounds, x - diff), np.searchsorted(bounds, x + diff)
+    for p in range(n_buckets):
+        rows = (first <= p) & (p <= last)
+        yield seq[rows], own[rows] == p
+
+
+@pytest.mark.parametrize(
+    "w_r, w_s, self_join, rates, key_space, diff, n_buckets",
+    [
+        (256, 256, False, (1, 1), KEY_SPACE, None, 4),
+        (200, 200, True, (1, 1), KEY_SPACE, None, 4),
+        (64, 512, False, (1, 1), KEY_SPACE, None, 4),
+        (192, 192, False, (3, 1), KEY_SPACE, None, 4),
+        (128, 128, False, (1, 1), 1000, 300, 8),
+    ],
+    ids=["two_way", "self_join", "asym_windows", "asym_rates", "wide_band"],
+)
+def test_bucketed_owner_runs_union_to_oracle(
+    w_r, w_s, self_join, rates, key_space, diff, n_buckets
+):
+    """The Spark worker's join without Spark: each bucket runs
+    ``run_ibwj`` with only its owner rows inserting, at the bucket's share
+    of the window as merge threshold; the buckets' pairs together are the
+    oracle's, each found once."""
+    seq = gen_stream(
+        3000, seed=50, key_space=key_space, self_join=self_join,
+        rate_r=rates[0], rate_s=rates[1],
+    )
+    if diff is None:
+        diff = diff_for_match_rate(2.0, max(w_r, w_s))
+    share = max(1, (w_r + w_s) // (2 * n_buckets))
+    pairs = []
+    for rows, owner in _buckets(seq, n_buckets, diff):
+        res = ibwj.run_ibwj(
+            rows, w_r, w_s, diff, lambda _w: ibwj.PIMAdapter(share, 1.0, 2),
+            self_join=self_join, owner=owner,
+        )
+        assert res.costs.n_merges > 0
+        pairs += res.pairs
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == reference_pairs(seq, w_r, w_s, diff, self_join=self_join)
 
 
 def test_warmup_excludes_pairs_and_time():

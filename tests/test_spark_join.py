@@ -1,17 +1,12 @@
-"""Spark-layer tests: the range-partitioned parallel join and the
-micro-batch driver, validated through ``oracle.assert_equivalent`` (the
-DuckDB band-join-over-count-window SQL runs over the same stream table
-the Spark job consumed)."""
-import numpy as np
-import pandas as pd
+"""Spark-layer tests: the range-partitioned parallel join, validated
+through ``oracle.assert_equivalent`` (the DuckDB band-join-over-count-window
+SQL runs over the same stream table the Spark job consumed)."""
 import pytest
 from pyspark.sql import functions as F
 
 from repro.join import ibwj
 from repro.join.spark_join import (
     key_bounds,
-    live_state_rows,
-    microbatch_band_join,
     parallel_band_join,
     stream_to_df,
 )
@@ -78,90 +73,6 @@ def test_parallel_join_wide_band_crosses_partitions(spark):
     diff = 300  # covers several of the 8 buckets
     out = parallel_band_join(spark, seq, w, w, diff, n_partitions=8)
     _assert_join(spark, seq, out, w, w, diff)
-
-
-@pytest.mark.parametrize("batch_size", [500, 1000, 4000])
-def test_microbatch_join_matches_oracle(spark, batch_size):
-    w = 192
-    seq = gen_stream(3000, seed=36)
-    diff = diff_for_match_rate(2.0, w)
-    out = microbatch_band_join(
-        spark, seq, w, w, diff, n_partitions=4, batch_size=batch_size
-    )
-    _assert_join(
-        spark, seq, spark.createDataFrame(out), w, w, diff
-    )
-
-
-def _live_state_by_prefix_filter(seq, start, w_r, w_s, self_join):
-    """Each side's live window state, found by filtering the whole
-    arrival prefix (the micro-batch driver's former per-batch cost)."""
-    head = seq.iloc[:start]
-    if head.empty:
-        return head
-    win = {"R": w_r, "S": w_s}
-    counts = head.groupby("side")["spos"].max().to_dict()
-    return pd.concat(
-        [
-            head[
-                (head["side"] == s)
-                & (head["spos"] > counts[s] - win["R" if self_join else s])
-            ]
-            for s in head["side"].unique()
-        ]
-    )
-
-
-@pytest.mark.parametrize(
-    "w_r, w_s, self_join, rates",
-    [
-        (96, 96, False, (1, 1)),
-        (100, 100, True, (1, 1)),
-        (40, 250, False, (1, 1)),
-        (64, 160, False, (3, 1)),
-    ],
-    ids=["two_way", "self_join", "asym_windows", "asym_windows_rates"],
-)
-def test_live_state_rows_equal_prefix_filter(w_r, w_s, self_join, rates):
-    seq = gen_stream(
-        1200, seed=40, self_join=self_join, rate_r=rates[0], rate_s=rates[1]
-    )
-    sides = seq["side"].to_numpy()
-    side_rows = {s: np.flatnonzero(sides == s) for s in pd.unique(sides)}
-    win = {"R": w_r, "S": w_s}
-    for batch_size in (29, 250):
-        for start in range(0, len(seq), batch_size):
-            pd.testing.assert_frame_equal(
-                seq.iloc[live_state_rows(side_rows, win, start)],
-                _live_state_by_prefix_filter(seq, start, w_r, w_s, self_join),
-            )
-
-
-def test_microbatch_self_join(spark):
-    w = 128
-    seq = gen_stream(2000, seed=37, self_join=True)
-    diff = diff_for_match_rate(2.0, w)
-    out = microbatch_band_join(
-        spark, seq, w, w, diff,
-        n_partitions=4, batch_size=700, self_join=True,
-    )
-    _assert_join(
-        spark, seq, spark.createDataFrame(out), w, w, diff, self_join=True
-    )
-
-
-def test_microbatch_equals_oneshot(spark):
-    w = 160
-    seq = gen_stream(2500, seed=38)
-    diff = diff_for_match_rate(2.0, w)
-    one = parallel_band_join(spark, seq, w, w, diff, n_partitions=4).toPandas()
-    mb = microbatch_band_join(
-        spark, seq, w, w, diff, n_partitions=4, batch_size=600
-    )
-    key = ["later_gpos", "earlier_gpos"]
-    a = one.sort_values(key).reset_index(drop=True)
-    b = mb.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
 
 
 def test_spark_matches_single_threaded_driver(spark):
