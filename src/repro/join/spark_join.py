@@ -5,14 +5,19 @@ lock per range; that design maps one-to-one onto range-partitioned Spark
 tasks — each partition runs the per-partition merge-tree join (a
 PIM-Tree per stream) inside ``applyInPandas``, giving genuine multicore
 (process) parallelism that the GIL denies the threaded layer
-(DESIGN.md §3.1c).
+(DESIGN.md §3.1c). Here the per-range lock is the bucket's ownership by
+a single task: ``applyInPandas`` runs a group in one Python worker on one
+thread, so each bucket's PIM-Trees are built without locks
+(``use_locks=False``), the variant the paper's single-threaded runs use.
 
-Partitioning protocol (all DataFrame API; the stateful operator is the
-``applyInPandas`` physical transformation, per the layering note in
-DESIGN.md §5):
+Partitioning protocol (bounds on the driver, the rest DataFrame API; the
+stateful operator is the ``applyInPandas`` physical transformation, per
+the layering note in DESIGN.md §5):
 
-1. boundaries = ``approxQuantile`` over the key column — the Spark
-   analogue of PIM-Tree's distribution-adaptive partition ranges;
+1. boundaries = exact key quantiles computed on the driver from the
+   keys it already holds (``key_bounds``), with no Spark job — the
+   analogue of PIM-Tree's distribution-adaptive partition ranges, which
+   it takes from T_S at merge time;
 2. every tuple is *owned* by the bucket of its key and *probes* every
    bucket overlapping ``[x - diff, x + diff]`` (band replication rows);
 3. ``groupBy(pid).applyInPandas`` runs ``ibwj.run_ibwj`` over each
@@ -24,6 +29,7 @@ DESIGN.md §5):
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -44,13 +50,15 @@ def stream_to_df(spark: SparkSession, seq: pd.DataFrame) -> DataFrame:
     return spark.createDataFrame(seq)
 
 
-def key_bounds(df: DataFrame, n_partitions: int, error: float = 0.01) -> list[int]:
-    """Distribution-adaptive range boundaries (P-1 interior bounds) via
-    approxQuantile — the PIM-Tree partition adaptation, Spark-style."""
+def key_bounds(keys: np.ndarray, n_partitions: int) -> list[int]:
+    """Distribution-adaptive range boundaries: the P-1 interior quantiles
+    ``i/P`` of ``keys``, each an actual key (inverted CDF), so every
+    bucket owns ⌊n/P⌋ or ⌈n/P⌉ of n distinct keys — the PIM-Tree
+    partition adaptation."""
     if n_partitions <= 1:
         return []
-    qs = [i / n_partitions for i in range(1, n_partitions)]
-    return [int(b) for b in df.approxQuantile("x", qs, error)]
+    qs = np.arange(1, n_partitions) / n_partitions
+    return [int(b) for b in np.quantile(keys, qs, method="inverted_cdf")]
 
 
 def _assign_partitions(
@@ -104,7 +112,7 @@ def parallel_band_join(
     with ``streams.band_join_sql`` via ``oracle.assert_equivalent``.
     """
     df = stream_to_df(spark, seq)
-    bounds = key_bounds(df, n_partitions)
+    bounds = key_bounds(seq["x"].to_numpy(), n_partitions)
     # Each bucket holds ~w/P live tuples, so its merge threshold is scaled
     # to that share; merges still expire by the full window.
     share = max(1, (w_r + w_s) // (2 * max(1, n_partitions)))
@@ -113,7 +121,9 @@ def parallel_band_join(
         pdf = pdf.sort_values("gpos")
         res = run_ibwj(
             pdf, w_r, w_s, diff,
-            lambda _w: PIMAdapter(share, merge_ratio, insertion_depth),
+            lambda _w: PIMAdapter(
+                share, merge_ratio, insertion_depth, use_locks=False
+            ),
             self_join=self_join, owner=pdf["is_owner"].to_numpy(),
         )
         return pairs_df(res.pairs)

@@ -3,7 +3,7 @@ every index adapter and workload shape the paper evaluates."""
 import numpy as np
 import pytest
 
-from repro.join import ibwj
+from repro.join import ibwj, spark_join
 from repro.join.streams import (
     KEY_SPACE,
     diff_for_match_rate,
@@ -108,8 +108,7 @@ def _buckets(seq, n_buckets, diff):
     every bucket from ``searchsorted(bounds, x - diff)`` through
     ``searchsorted(bounds, x + diff)``."""
     x = seq["x"].to_numpy()
-    qs = np.arange(1, n_buckets) / n_buckets
-    bounds = np.quantile(x, qs).astype(np.int64)
+    bounds = spark_join.key_bounds(x, n_buckets)
     own = np.searchsorted(bounds, x)
     first, last = np.searchsorted(bounds, x - diff), np.searchsorted(bounds, x + diff)
     for p in range(n_buckets):
@@ -125,16 +124,21 @@ def _buckets(seq, n_buckets, diff):
         (64, 512, False, (1, 1), KEY_SPACE, None, 4),
         (192, 192, False, (3, 1), KEY_SPACE, None, 4),
         (128, 128, False, (1, 1), 1000, 300, 8),
+        (128, 128, False, (1, 1), 3, 0, 8),
     ],
-    ids=["two_way", "self_join", "asym_windows", "asym_rates", "wide_band"],
+    ids=[
+        "two_way", "self_join", "asym_windows", "asym_rates", "wide_band",
+        "dup_keys",
+    ],
 )
 def test_bucketed_owner_runs_union_to_oracle(
     w_r, w_s, self_join, rates, key_space, diff, n_buckets
 ):
     """The Spark worker's join without Spark: each bucket runs
     ``run_ibwj`` with only its owner rows inserting, at the bucket's share
-    of the window as merge threshold; the buckets' pairs together are the
-    oracle's, each found once."""
+    of the window as merge threshold, without locks; the buckets' pairs
+    together are the oracle's, each found once. A bucket with no rows is
+    skipped, as Spark forms no group for it."""
     seq = gen_stream(
         3000, seed=50, key_space=key_space, self_join=self_join,
         rate_r=rates[0], rate_s=rates[1],
@@ -144,8 +148,11 @@ def test_bucketed_owner_runs_union_to_oracle(
     share = max(1, (w_r + w_s) // (2 * n_buckets))
     pairs = []
     for rows, owner in _buckets(seq, n_buckets, diff):
+        if rows.empty:
+            continue
         res = ibwj.run_ibwj(
-            rows, w_r, w_s, diff, lambda _w: ibwj.PIMAdapter(share, 1.0, 2),
+            rows, w_r, w_s, diff,
+            lambda _w: ibwj.PIMAdapter(share, 1.0, 2, use_locks=False),
             self_join=self_join, owner=owner,
         )
         assert res.costs.n_merges > 0
