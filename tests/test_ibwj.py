@@ -103,17 +103,10 @@ def test_zero_diff_equijoin():
 
 
 def _buckets(seq, n_buckets, diff):
-    """(rows, owner mask) per bucket under ``spark_join._assign_partitions``'
-    rule: a tuple is owned by bucket ``searchsorted(bounds, x)`` and probes
-    every bucket from ``searchsorted(bounds, x - diff)`` through
-    ``searchsorted(bounds, x + diff)``."""
-    x = seq["x"].to_numpy()
-    bounds = spark_join.key_bounds(x, n_buckets)
-    own = np.searchsorted(bounds, x)
-    first, last = np.searchsorted(bounds, x - diff), np.searchsorted(bounds, x + diff)
-    for p in range(n_buckets):
-        rows = (first <= p) & (p <= last)
-        yield seq[rows], own[rows] == p
+    """(pid, rows, owner mask) per bucket, cut by the Spark join's own
+    ``spark_join.bucket_rows``."""
+    bounds = spark_join.key_bounds(seq["x"].to_numpy(), n_buckets)
+    return spark_join.bucket_rows(seq, bounds, diff)
 
 
 @pytest.mark.parametrize(
@@ -137,8 +130,7 @@ def test_bucketed_owner_runs_union_to_oracle(
     """The Spark worker's join without Spark: each bucket runs
     ``run_ibwj`` with only its owner rows inserting, at the bucket's share
     of the window as merge threshold, without locks; the buckets' pairs
-    together are the oracle's, each found once. A bucket with no rows is
-    skipped, as Spark forms no group for it."""
+    together are the oracle's, each found once."""
     seq = gen_stream(
         3000, seed=50, key_space=key_space, self_join=self_join,
         rate_r=rates[0], rate_s=rates[1],
@@ -147,9 +139,7 @@ def test_bucketed_owner_runs_union_to_oracle(
         diff = diff_for_match_rate(2.0, max(w_r, w_s))
     share = max(1, (w_r + w_s) // (2 * n_buckets))
     pairs = []
-    for rows, owner in _buckets(seq, n_buckets, diff):
-        if rows.empty:
-            continue
+    for _, rows, owner in _buckets(seq, n_buckets, diff):
         res = ibwj.run_ibwj(
             rows, w_r, w_s, diff,
             lambda _w: ibwj.PIMAdapter(share, 1.0, 2, use_locks=False),

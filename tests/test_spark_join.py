@@ -5,15 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from pyspark.sql import functions as F
 
 from repro.join import ibwj
 from repro.join.spark_join import (
+    _PAIR_SCHEMA,
+    bucket_rows,
     key_bounds,
     parallel_band_join,
-    stream_to_df,
 )
-from repro.join.streams import band_join_sql, diff_for_match_rate, gen_stream
+from repro.join.streams import (
+    KEY_SPACE,
+    band_join_sql,
+    diff_for_match_rate,
+    gen_stream,
+)
 from repro.oracle import assert_equivalent
 
 
@@ -109,8 +114,6 @@ def test_key_bounds_adapt_to_distribution():
     assert len(bounds) == 7
     assert bounds == sorted(bounds)
     # gamma(k=1) mass sits low: the median boundary is far below mid-domain
-    from repro.join.streams import KEY_SPACE
-
     assert bounds[3] < KEY_SPACE // 2
 
 
@@ -145,19 +148,60 @@ def test_key_bounds_are_exact_quantile_keys(n, p, key_space, seed):
         assert set(owned.tolist()) <= {n // p, -(-n // p)}
 
 
-def test_partition_ownership_is_unique(spark):
-    """Every tuple has exactly one owner row after replication."""
-    from repro.join.spark_join import _assign_partitions
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 400),
+    st.integers(1, 9),
+    st.sampled_from([3, 50, 1000, KEY_SPACE]),
+    st.integers(0, 300),
+    st.integers(0, 999),
+)
+def test_partition_ownership_is_unique(n, p, key_space, diff, seed):
+    """``bucket_rows`` on a shuffled stream: every tuple has exactly one
+    owner row; a tuple appears in exactly the buckets its band
+    ``[x - diff, x + diff]`` overlaps; rows come back in arrival order;
+    buckets that own no tuple are skipped."""
+    seq = gen_stream(n, seed=seed, key_space=key_space)
+    bounds = key_bounds(seq["x"].to_numpy(), p)
+    buckets = bucket_rows(seq.sample(frac=1, random_state=seed), bounds, diff)
+    pids = [pid for pid, _, _ in buckets]
+    assert pids == sorted(set(pids))
+    owners = np.concatenate([rows["gpos"].to_numpy()[own] for _, rows, own in buckets])
+    assert sorted(owners.tolist()) == seq["gpos"].tolist()
+    # Bucket q owns the keys in (bounds[q-1], bounds[q]].
+    edges = [-np.inf, *bounds, np.inf]
+    for pid, rows, own in buckets:
+        x = rows["x"].to_numpy()
+        assert (own == ((edges[pid] < x) & (x <= edges[pid + 1]))).all()
+    x = seq["x"].to_numpy()
+    for q in range(p):
+        lo, hi = edges[q], edges[q + 1]
+        if not ((lo < x) & (x <= hi)).any():
+            assert q not in pids
+            continue
+        expect = seq["gpos"][(x + diff > lo) & (x - diff <= hi)].tolist()
+        assert buckets[pids.index(q)][1]["gpos"].tolist() == expect
 
-    seq = gen_stream(2000, seed=42)
-    df = stream_to_df(spark, seq)
-    bounds = key_bounds(seq["x"].to_numpy(), 8)
-    rows = _assign_partitions(df, bounds, diff=5000)
-    owners = (
-        rows.filter(F.col("is_owner"))
-        .groupBy("gpos")
-        .count()
-        .agg(F.max("count"), F.min("count"), F.count("*"))
-        .collect()[0]
-    )
-    assert owners[0] == 1 and owners[1] == 1 and owners[2] == 2000
+
+def test_empty_stream_gives_empty_join(spark):
+    """No keys give no bounds, no buckets and an empty pair frame."""
+    seq = gen_stream(100).iloc[:0]
+    assert key_bounds(seq["x"].to_numpy(), 4) == []
+    assert bucket_rows(seq, [], 10) == []
+    out = parallel_band_join(spark, seq, 64, 64, 10, n_partitions=4)
+    assert out.schema == _PAIR_SCHEMA
+    assert out.count() == 0
+
+
+def test_one_task_per_bucket(spark):
+    """Every non-empty bucket runs as exactly one Spark task: four on a
+    uniform stream with four partitions, fewer than eight when a key
+    space of five leaves buckets empty."""
+    seq = gen_stream(2000, seed=43)
+    out = parallel_band_join(spark, seq, 128, 128, 1000, n_partitions=4)
+    assert out.rdd.getNumPartitions() == 4
+    seq = gen_stream(1500, seed=36, key_space=5)
+    x = seq["x"].to_numpy()
+    n_buckets = len(bucket_rows(seq, key_bounds(x, 8), 0))
+    out = parallel_band_join(spark, seq, 128, 128, 0, n_partitions=8)
+    assert out.rdd.getNumPartitions() == n_buckets < 8
