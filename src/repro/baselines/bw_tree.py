@@ -37,9 +37,6 @@ class _Page:
         # boundary array.
         self.bound = bound
 
-    def live_count(self) -> int:
-        return len(self.base_keys) + sum(op for op, _, _ in self.deltas)
-
 
 class BwTreeLike:
     """Delta-chain page index with consolidation and page splits."""

@@ -8,18 +8,19 @@ the ``StepCosts`` into ``ServiceTimes`` for each approach.
 Service-time split: the paper's PIM-Tree holds a sub-index lock only for
 the B_i seek/scan/insert; the T_S descent and T_S leaf scan are
 lock-free. Our ``probe_split`` measures (search, scan) where 'search'
-covers both T_S and sub-index descents — we attribute the T_S share
-according to the height ratio, which the model only needs to first
-order (lock-held fractions shift the congestion knee, not its
-existence).
+covers both T_S and sub-index descents; ``service_times_pim`` counts a
+fixed share of it (``ts_share=0.5``) as the lock-free T_S part. The
+model only needs that share to first order (lock-held fractions shift
+the congestion knee, not its existence); ROADMAP item 4 plans to
+measure it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.bench.tables_single import steady_state
 from repro.concurrency.simulator import ServiceTimes
 from repro.join import ibwj
-from repro.join.streams import diff_for_match_rate, gen_stream
 
 
 @dataclass
@@ -45,20 +46,10 @@ def measure(
     The window is pre-filled with 2w tuples (both streams), then
     ``n_process`` tuples are timed.
     """
-    factory = lambda win: ibwj.ADAPTERS[approach](win, **adapter_kwargs)  # noqa: E731
-    warmup = 2 * w
-    seq = gen_stream(warmup + n_process, seed=seed)
-    diff = diff_for_match_rate(match_rate, w)
-    res = ibwj.run_ibwj(
-        seq,
-        w,
-        w,
-        diff,
-        factory,
-        collect_pairs=False,
+    res = steady_state(
+        lambda win: ibwj.ADAPTERS[approach](win, **adapter_kwargs),
+        w, n_process=n_process, match_rate=match_rate, seed=seed,
         measure=True,
-        warmup=warmup,
-        probe_during_warmup=False,
     )
     c = res.costs
     n = max(1, c.n_tuples)

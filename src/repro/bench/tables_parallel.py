@@ -9,14 +9,15 @@ as a cross-check of the simulator's scaling shape.
 """
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
 import pandas as pd
 
 from repro.bench import calibrate
+from repro.bench.tables_single import steady_state
 from repro.concurrency.simulator import (
-    ServiceTimes,
     SimConfig,
     SimResult,
     drift_partition_probs,
@@ -31,13 +32,34 @@ N_SIM_TUPLES = 40_000
 HW_THREADS = 16  # the paper's octa-core with hyper-threading
 
 
-def _sim_len(st) -> int:
-    """Simulated tuple count: long enough to cover >= 3 merge cycles —
-    otherwise large-m configurations would never pay a merge and
-    multithreaded throughput would be overstated."""
-    if not st.merge_interval:
-        return N_SIM_TUPLES
-    return min(400_000, max(N_SIM_TUPLES, int(3.2 * st.merge_interval)))
+def _simulate_pim(
+    st,
+    n_parts: int,
+    n_threads: int,
+    *,
+    task_size: int = 8,
+    partition_probs=None,
+    nonblocking: bool = True,
+) -> SimResult:
+    """Simulate the PIM join with ``n_threads`` threads modelled as full
+    cores. The simulated stream covers >= 3 merge cycles — otherwise
+    large-m configurations would never pay a merge and multithreaded
+    throughput would be overstated."""
+    n = N_SIM_TUPLES
+    if st.merge_interval:
+        n = min(400_000, max(n, int(3.2 * st.merge_interval)))
+    return simulate(
+        SimConfig(
+            n_threads=n_threads,
+            n_tuples=n,
+            task_size=task_size,
+            mode="pim",
+            n_partitions=n_parts,
+            partition_probs=partition_probs,
+            nonblocking_merge=nonblocking,
+        ),
+        st,
+    )
 
 
 def _pim_subindex_count(w: int, d_i: int) -> int:
@@ -90,8 +112,6 @@ def _sim_pim(
     *,
     d_i: int = 2,
     merge_ratio: float = 1.0,
-    task_size: int = 8,
-    partition_probs=None,
     nonblocking: bool = True,
     match_rate: float = 2.0,
     n_process: int | None = None,
@@ -99,35 +119,14 @@ def _sim_pim(
     cal, st, n_parts = _pim_calibration(
         w, d_i, merge_ratio, match_rate, n_process or 20000
     )
-
-    def run(p: int):
-        return simulate(
-            SimConfig(
-                n_threads=p,
-                n_tuples=_sim_len(st),
-                task_size=task_size,
-                mode="pim",
-                n_partitions=n_parts,
-                partition_probs=partition_probs,
-                nonblocking_merge=nonblocking,
-            ),
-            st,
-        )
-
-    sim = run(min(n_threads, 8))
+    sim = _simulate_pim(st, n_parts, min(n_threads, 8), nonblocking=nonblocking)
     if n_threads > 8:
         # Hyper-threaded logical cores add ~24 % over the 8 physical
         # cores in the paper (Fig. 12a prose); the simulator models
         # threads as full cores, so the HT tier is applied as a factor.
-        full = run(n_threads)
-        capped = min(full.throughput, sim.throughput * 1.24)
-        sim = SimResult(
-            makespan=full.makespan,
-            throughput=capped,
-            mean_latency=full.mean_latency,
-            p99_latency=full.p99_latency,
-            lock_wait_total=full.lock_wait_total,
-            n_merges=full.n_merges,
+        full = _simulate_pim(st, n_parts, n_threads, nonblocking=nonblocking)
+        sim = dataclasses.replace(
+            full, throughput=min(full.throughput, sim.throughput * 1.24)
         )
     return sim, cal
 
@@ -197,7 +196,7 @@ def table_insertion_depth_parallel(scale: str = "full") -> pd.DataFrame:
         for d in depths:
             sim, _ = _sim_pim(w, HW_THREADS, d_i=d, n_process=12000)
             row[f"d{d}"] = sim.throughput
-            row[f"d{d}_nsub"] = _pim_subindex_count(w, d)
+            row[f"d{d}_nsub"] = _pim_calibration(w, d, 1.0, 2.0, 12000)[2]
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -217,22 +216,12 @@ def table_merge_ratio_parallel(scale: str = "full") -> pd.DataFrame:
         # the merge-frequency effect this sweep isolates.
         _, base_st, n_parts = _pim_calibration(w, 2, 2**-3, 2.0, 12000)
         for m in ms:
-            st = ServiceTimes(
-                lock_free=base_st.lock_free,
-                locked=base_st.locked,
-                delete=base_st.delete,
-                task_acquire=base_st.task_acquire,
+            st = dataclasses.replace(
+                base_st,
                 merge_duration=calibrate.measure_merge_cost(w, m),
                 merge_interval=max(1, int(m * w)),
-                scan_surcharge=base_st.scan_surcharge,
             )
-            sim = simulate(
-                SimConfig(
-                    n_threads=8, n_tuples=_sim_len(st), task_size=8,
-                    mode="pim", n_partitions=n_parts,
-                ),
-                st,
-            )
+            sim = _simulate_pim(st, n_parts, 8)
             label = f"m=2^{int(np.log2(m))}" if m < 1 else "m=1"
             row[label] = sim.throughput * 1.24  # HT tier (see _sim_pim)
         rows.append(row)
@@ -246,13 +235,7 @@ def table_task_size(scale: str = "full") -> pd.DataFrame:
     _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 12000)
     rows = []
     for ts in sizes:
-        sim = simulate(
-            SimConfig(
-                n_threads=HW_THREADS, n_tuples=_sim_len(st), task_size=ts,
-                mode="pim", n_partitions=n_parts,
-            ),
-            st,
-        )
+        sim = _simulate_pim(st, n_parts, HW_THREADS, task_size=ts)
         rows.append(
             {
                 "task_size": ts,
@@ -273,17 +256,15 @@ def table_scalability(scale: str = "full") -> pd.DataFrame:
     rows = []
     for self_join in (False, True):
         tag = "self" if self_join else "two_way"
-        from repro.bench.tables_single import throughput as st_tput
-
         n_cc = int(6.6 * w) + 8000  # several merge cycles per run
-        no_cc = st_tput(
+        no_cc = steady_state(
             lambda win: ibwj.PIMAdapter(win, 1.0, 2, use_locks=False),
-            w, merge_ratio=1.0, self_join=self_join, n_process=n_cc,
-        )
-        with_cc = st_tput(
+            w, self_join=self_join, n_process=n_cc,
+        ).throughput
+        with_cc = steady_state(
             lambda win: ibwj.PIMAdapter(win, 1.0, 2),
-            w, merge_ratio=1.0, self_join=self_join, n_process=n_cc,
-        )
+            w, self_join=self_join, n_process=n_cc,
+        ).throughput
         for p in threads:
             # the >8-thread hyper-threading cap is applied inside _sim_pim
             sim, _ = _sim_pim(w, p, merge_ratio=1.0, n_process=12000)
@@ -339,17 +320,15 @@ def table_multithreading_efficiency(scale: str = "full") -> pd.DataFrame:
 def table_selfjoin(scale: str = "full") -> pd.DataFrame:
     """Fig. 12c: single-threaded vs multithreaded index-based self-join."""
     ws = [1 << 13, 1 << 15, 1 << 17] if scale == "full" else [1 << 12]
-    from repro.bench.tables_single import throughput as st_tput
-
     rows = []
     for w in ws:
-        bp = st_tput(
+        bp = steady_state(
             lambda win: ibwj.BPlusAdapter(win), w, self_join=True
-        )
-        pim = st_tput(
+        ).throughput
+        pim = steady_state(
             lambda win: ibwj.PIMAdapter(win, 1.0, 2), w,
             merge_ratio=1.0, self_join=True,
-        )
+        ).throughput
         sim, _ = _sim_pim(w, HW_THREADS, merge_ratio=1.0, n_process=12000)
         rows.append(
             {
@@ -395,20 +374,13 @@ def table_drift_throughput(scale: str = "full") -> pd.DataFrame:
     from repro.bench.tables_single import table_drift_insert_distribution
 
     dist = table_drift_insert_distribution(scale)
-    _, st, _ = _pim_calibration(w, 3, 1.0, 2.0, 12000)
-    n_parts = _pim_subindex_count(w, 3)
+    _, st, n_parts = _pim_calibration(w, 3, 1.0, 2.0, 12000)
     rows = []
     for r in rs:
         share = float(dist.loc[dist["r"] == r, "max_share"].iloc[0])
         skew = min(1.0, max(0.0, (share * n_parts - 1) / max(n_parts - 1, 1)))
         probs = drift_partition_probs(n_parts, skew)
-        sim = simulate(
-            SimConfig(
-                n_threads=HW_THREADS, n_tuples=_sim_len(st), task_size=8,
-                mode="pim", n_partitions=n_parts, partition_probs=probs,
-            ),
-            st,
-        )
+        sim = _simulate_pim(st, n_parts, HW_THREADS, partition_probs=probs)
         if r == 0.0:
             base = sim.throughput
         rows.append(
@@ -539,38 +511,26 @@ def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
     w = 1 << (16 if scale == "full" else 12)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
     # Measure bytes per tuple from a single-threaded run.
-    warm, n = 2 * w, 12000
-    seq = gen_stream(warm + n, seed=1)
-    diff = diff_for_match_rate(2.0, w)
-    adapters = {}
+    adapters = []
 
     def factory(win):
-        a = ibwj.PIMAdapter(win, 1.0, 2)
-        adapters[len(adapters)] = a
-        return a
+        adapters.append(ibwj.PIMAdapter(win, 1.0, 2))
+        return adapters[-1]
 
-    ibwj.run_ibwj(
-        seq, w, w, diff, factory,
-        collect_pairs=False, warmup=warm, probe_during_warmup=False,
-    )
+    res = steady_state(factory, w, n_process=12000)
     loads = stores = 0
-    for a in adapters.values():
+    for a in adapters:
         loads += a.idx.t_s.bytes_loaded
         loads += sum(b.bytes_loaded for b in a.idx.subindexes)
         stores += sum(b.bytes_stored for b in a.idx.subindexes)
         stores += len(a.idx.t_s) * 8 * a.idx.n_merges  # merge writes
-    per_tuple_load = loads / (warm + n)
-    per_tuple_store = max(stores / (warm + n), 1.0)
+    n_seen = 2 * w + res.n_processed  # prefill + timed tuples
+    per_tuple_load = loads / n_seen
+    per_tuple_store = max(stores / n_seen, 1.0)
     _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 10000)
     rows = []
     for p in threads:
-        sim = simulate(
-            SimConfig(
-                n_threads=p, n_tuples=_sim_len(st), task_size=8,
-                mode="pim", n_partitions=n_parts,
-            ),
-            st,
-        )
+        sim = _simulate_pim(st, n_parts, p)
         # Non-indexed window region grows with in-flight tasks: extra
         # linear-scan loads per lookup ~ (p * task_size / 2) elements.
         extra_load = p * 8 / 2 * 8.0

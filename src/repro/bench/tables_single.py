@@ -35,27 +35,32 @@ def _n_process(w: int, merge_ratio: float = 0.125, floor: int = 16000) -> int:
     return max(floor, int(4.4 * merge_ratio * w) + 8000)
 
 
-def throughput(
+def steady_state(
     factory,
-    w: int,
+    w_r: int,
+    w_s: int | None = None,
     *,
     n_process: int | None = None,
     merge_ratio: float = 0.125,
     match_rate: float = 2.0,
     seed: int = 1,
     self_join: bool = False,
-) -> float:
-    """Steady-state single-threaded IBWJ throughput (tuples/s)."""
+    measure: bool = False,
+) -> ibwj.JoinResult:
+    """Steady-state single-threaded IBWJ run: prefill 2*max(w_r, w_s)
+    tuples without probes, then time ``n_process`` tuples (default: two
+    merge cycles at ``merge_ratio``)."""
+    w_s = w_s or w_r
+    w = max(w_r, w_s)
     warm = 2 * w
     n = n_process or _n_process(w, merge_ratio)
     seq = gen_stream(warm + n, seed=seed, self_join=self_join)
     diff = diff_for_match_rate(match_rate, w)
-    res = ibwj.run_ibwj(
-        seq, w, w, diff, factory,
-        collect_pairs=False, warmup=warm, self_join=self_join,
-        probe_during_warmup=False,
+    return ibwj.run_ibwj(
+        seq, w_r, w_s, diff, factory,
+        self_join=self_join, collect_pairs=False, measure=measure,
+        warmup=warm, probe_during_warmup=False,
     )
-    return res.throughput
 
 
 def table_chained_index(scale: str = "full") -> pd.DataFrame:
@@ -65,17 +70,19 @@ def table_chained_index(scale: str = "full") -> pd.DataFrame:
     lengths = [2, 3, 4, 6, 8, 12] if scale == "full" else [2, 4]
     n = _n_process(w) if scale == "full" else 6000
     rows = []
-    bp = throughput(lambda win: ibwj.BPlusAdapter(win), w, n_process=n)
+    bp = steady_state(
+        lambda win: ibwj.BPlusAdapter(win), w, n_process=n
+    ).throughput
     for L in lengths:
         rows.append(
             {
                 "L": L,
-                "b_chain": throughput(
+                "b_chain": steady_state(
                     lambda win: ibwj.ChainAdapter(win, L, False), w, n_process=n
-                ),
-                "ib_chain": throughput(
+                ).throughput,
+                "ib_chain": steady_state(
                     lambda win: ibwj.ChainAdapter(win, L, True), w, n_process=n
-                ),
+                ).throughput,
                 "bplus_ref": bp,
             }
         )
@@ -90,9 +97,9 @@ def table_insertion_depth_single(scale: str = "full") -> pd.DataFrame:
     for w in ws:
         row = {"w": w}
         for d in depths:
-            row[f"d{d}"] = throughput(
+            row[f"d{d}"] = steady_state(
                 lambda win: ibwj.PIMAdapter(win, 0.125, d), w
-            )
+            ).throughput
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -116,9 +123,9 @@ def table_merge_ratio_single(
     for w in ws:
         row = {"w": w}
         for m in ms:
-            row[f"m=2^{int(np.log2(m))}" if m < 1 else "m=1"] = throughput(
+            row[f"m=2^{int(np.log2(m))}" if m < 1 else "m=1"] = steady_state(
                 lambda win: mk(win, m), w, merge_ratio=m
-            )
+            ).throughput
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -135,16 +142,9 @@ def table_cost_breakdown(scale: str = "full") -> pd.DataFrame:
     }
     rows = []
     for w in ws:
+        n = _n_process(w) if scale == "full" else 6000
         for name, f in factories.items():
-            warm = 2 * w
-            n = _n_process(w) if scale == "full" else 6000
-            seq = gen_stream(warm + n, seed=1)
-            diff = diff_for_match_rate(2.0, w)
-            res = ibwj.run_ibwj(
-                seq, w, w, diff, f,
-                collect_pairs=False, warmup=warm, measure=True,
-                probe_during_warmup=False,
-            )
+            res = steady_state(f, w, n_process=n, measure=True)
             rows.append({"w": w, "index": name, **res.costs.per_tuple_us()})
     return pd.DataFrame(rows)
 
@@ -162,20 +162,17 @@ def table_single_threaded_compare(scale: str = "full") -> pd.DataFrame:
         if scale == "full"
         else [1 << 13]
     )
+    factories = {
+        "bplus": lambda win: ibwj.BPlusAdapter(win),
+        "im": lambda win: ibwj.IMAdapter(win, 0.125),
+        "pim_nocc": lambda win: ibwj.PIMAdapter(win, 0.125, 2, use_locks=False),
+        "pim_cc": lambda win: ibwj.PIMAdapter(win, 0.125, 2),
+    }
     rows = []
     for w in ws:
         rows.append(
-            {
-                "w": w,
-                "bplus": throughput(lambda win: ibwj.BPlusAdapter(win), w),
-                "im": throughput(lambda win: ibwj.IMAdapter(win, 0.125), w),
-                "pim_nocc": throughput(
-                    lambda win: ibwj.PIMAdapter(win, 0.125, 2, use_locks=False), w
-                ),
-                "pim_cc": throughput(
-                    lambda win: ibwj.PIMAdapter(win, 0.125, 2), w
-                ),
-            }
+            {"w": w}
+            | {name: steady_state(f, w).throughput for name, f in factories.items()}
         )
     return pd.DataFrame(rows)
 
@@ -201,7 +198,7 @@ def table_match_rate(scale: str = "full") -> pd.DataFrame:
             "im": lambda win: ibwj.IMAdapter(win, 0.125),
             "pim": lambda win: ibwj.PIMAdapter(win, 0.125, 2),
         }.items():
-            row[name] = throughput(f, w, match_rate=r)
+            row[name] = steady_state(f, w, match_rate=r).throughput
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -252,16 +249,10 @@ def table_asymmetric_windows_single(scale: str = "full") -> pd.DataFrame:
     for w_r in ws:
         row = {"w_r": w_r}
         for w_s in ws:
-            warm = 2 * max(w_r, w_s)
-            seq = gen_stream(warm + 16000, seed=1)
-            diff = diff_for_match_rate(2.0, max(w_r, w_s))
-            res = ibwj.run_ibwj(
-                seq, w_r, w_s, diff,
-                lambda win: ibwj.PIMAdapter(win, 0.125, 2),
-                collect_pairs=False, warmup=warm,
-                probe_during_warmup=False,
-            )
-            row[f"w_s={w_s}"] = res.throughput
+            row[f"w_s={w_s}"] = steady_state(
+                lambda win: ibwj.PIMAdapter(win, 0.125, 2), w_r, w_s,
+                n_process=16000,
+            ).throughput
         rows.append(row)
     return pd.DataFrame(rows)
 

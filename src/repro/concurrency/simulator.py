@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+CAS_RETRY_FACTOR = 1.0  # fraction of locked work redone per CAS retry
+
 
 @dataclass
 class ServiceTimes:
@@ -55,7 +57,6 @@ class SimConfig:
     n_partitions: int = 16  # sub-indexes (pim) / pages (bw)
     partition_probs: np.ndarray | None = None  # default uniform
     nonblocking_merge: bool = True
-    cas_retry_factor: float = 1.0  # fraction of locked work redone per retry
     seed: int = 0
 
 
@@ -104,7 +105,7 @@ def simulate(cfg: SimConfig, st: ServiceTimes, keep_trace: bool = False) -> SimR
     # same page with prob ~ (p-1)/n_pages; retried work is geometric.
     if cfg.mode == "bw":
         q = min(0.9, max(0.0, (p - 1) / max(1, cfg.n_partitions)))
-        cas_mult = 1.0 + cfg.cas_retry_factor * q / (1.0 - q)
+        cas_mult = 1.0 + CAS_RETRY_FACTOR * q / (1.0 - q)
     else:
         cas_mult = 1.0
 

@@ -13,14 +13,15 @@ key of that node's subtree); node ``p`` at depth d>=1 owns the slice
 leaf chunk; leaf chunk ``p`` is ``keys[p*leaf_size : (p+1)*leaf_size]``.
 
 Storage is numpy (canonical, used by merge/build vectorisation) plus
-plain-list mirrors for the hot path: a range search bisects the
-element-key list for both ends of the range, and ``route`` bisects the
-inner-level lists node by node. Scalar ``np.searchsorted`` carries ~1 us
-of call overhead, which would invert the paper's single-op cost ordering
-(an immutable-tree probe must be *cheaper* than a classic B+-Tree
-descent); ``bisect`` on a list is an order of magnitude cheaper. A range
-search returns Python ``(key, pos)`` pairs sliced from the mirrors, so
-callers extend their result lists without converting.
+plain-list mirrors of the elements for the hot path: a range search
+bisects the element-key list for both ends of the range. (``route``, the
+test-only reference descent, bisects the numpy inner levels directly.)
+Scalar ``np.searchsorted`` carries ~1 us of call overhead, which would
+invert the paper's single-op cost ordering (an immutable-tree probe must
+be *cheaper* than a classic B+-Tree descent); ``bisect`` on a list is an
+order of magnitude cheaper. A range search returns Python ``(key, pos)``
+pairs sliced from the mirrors, so callers extend their result lists
+without converting.
 """
 from __future__ import annotations
 
@@ -55,8 +56,6 @@ class ImmutableBTree:
         # list mirrors for the bisect-based hot path
         self._keys_list: list[int] = self.keys.tolist()
         self._poss_list: list[int] = self.poss.tolist()
-        self._level_lists: list[list[int]] = [a.tolist() for a in self.levels]
-        self._level_lens: list[int] = [len(a) for a in self._level_lists]
         self._n = len(self._keys_list)
         # modelled bytes of one root-to-leaf descent, charged per probe
         self._descent_bytes = (self.height + 1) * self.fanout * 4
@@ -131,14 +130,14 @@ class ImmutableBTree:
         available inner levels. Per-node search: first child whose
         subtree max is >= key, clamped to the last child.
         """
-        depth = min(depth, len(self._level_lists))
+        depth = min(depth, len(self.levels))
         p = 0
         f = self.fanout
         for d in range(depth):
-            lst = self._level_lists[d]
+            lvl = self.levels[d]
             lo_i = 0 if d == 0 else p * f
-            hi_i = self._level_lens[d] if d == 0 else min(lo_i + f, self._level_lens[d])
-            k = bisect.bisect_left(lst, key, lo_i, hi_i)
+            hi_i = len(lvl) if d == 0 else min(lo_i + f, len(lvl))
+            k = bisect.bisect_left(lvl, key, lo_i, hi_i)
             p = k if k < hi_i else hi_i - 1
         self.bytes_loaded += depth * f * 4
         return p

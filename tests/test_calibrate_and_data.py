@@ -1,5 +1,5 @@
-"""Tests for the calibration bridge (measurements -> simulator service
-times)."""
+"""Tests for the steady-state run every measured table shares and for
+the calibration bridge (measurements -> simulator service times)."""
 import pytest
 
 from repro.bench.calibrate import (
@@ -7,6 +7,30 @@ from repro.bench.calibrate import (
     service_times_bw,
     service_times_pim,
 )
+from repro.bench.tables_single import steady_state
+from repro.join import ibwj
+from repro.join.streams import diff_for_match_rate, gen_stream, reference_pairs
+
+
+@pytest.mark.parametrize(
+    "w_r, w_s, self_join", [(96, 160, False), (128, None, True)]
+)
+def test_steady_state_matches_oracle(w_r, w_s, self_join):
+    """The run prefills 2*max(w_r, w_s) tuples without probes, then joins
+    ``n_process`` more: its matches are the DuckDB pairs whose later
+    tuple arrives after the prefill. Merges fire every 0.25 * w inserts."""
+    n = 1500
+    res = steady_state(
+        lambda win: ibwj.PIMAdapter(win, 0.25, 2), w_r, w_s,
+        n_process=n, seed=5, self_join=self_join,
+    )
+    w_s = w_s or w_r
+    warm = 2 * max(w_r, w_s)
+    seq = gen_stream(warm + n, seed=5, self_join=self_join)
+    diff = diff_for_match_rate(2.0, max(w_r, w_s))
+    ref = reference_pairs(seq, w_r, w_s, diff, self_join=self_join)
+    assert res.n_processed == n
+    assert res.n_matches == sum(later > warm for later, _ in ref) > 0
 
 
 @pytest.fixture(scope="module")

@@ -97,8 +97,9 @@ def test_spark_matches_single_threaded_driver(spark):
 
 
 def test_parallel_join_duplicate_keys(spark):
-    """A tiny key space gives equal bounds and empty buckets, for which
-    Spark forms no group; the join must still be exact."""
+    """A tiny key space gives equal bounds and empty buckets, which
+    ``bucket_rows`` skips on the driver, so they get no task; the join
+    must still be exact."""
     w = 128
     seq = gen_stream(1500, seed=36, key_space=5)
     out = parallel_band_join(spark, seq, w, w, 0, n_partitions=8)

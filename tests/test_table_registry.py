@@ -1,5 +1,6 @@
 """The table registry in ``repro.bench.report``: names unique and backed
-by committed results, every generator reached. Runs no table."""
+by committed results, every generator reached, ``results/`` laid out as
+``run_table`` and ``jobs/run_all.py`` write it. Runs no table."""
 import ast
 import inspect
 
@@ -33,6 +34,17 @@ def test_names_are_unique():
 def test_every_name_has_committed_results():
     stems = {p.stem for p in RESULTS_DIR.glob("*.md")} - {"ALL"}
     assert stems == set(TABLES)
+
+
+def test_results_files_start_with_their_heading():
+    for name, (title, _) in TABLES.items():
+        text = (RESULTS_DIR / f"{name}.md").read_text()
+        assert text.startswith(f"## {name} — {title}\n"), name
+
+
+def test_all_md_joins_the_tables_in_registry_order():
+    parts = [(RESULTS_DIR / f"{name}.md").read_text() for name in TABLES]
+    assert (RESULTS_DIR / "ALL.md").read_text() == "\n".join(parts)
 
 
 def test_every_generator_is_reached(monkeypatch):
