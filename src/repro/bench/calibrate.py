@@ -9,10 +9,9 @@ Service-time split: the paper's PIM-Tree holds a sub-index lock only for
 the B_i seek/scan/insert; the T_S descent and T_S leaf scan are
 lock-free. Our ``probe_split`` measures (search, scan) where 'search'
 covers both T_S and sub-index descents; ``service_times_pim`` counts a
-fixed share of it (``ts_share=0.5``) as the lock-free T_S part. The
-model only needs that share to first order (lock-held fractions shift
-the congestion knee, not its existence); ROADMAP item 4 plans to
-measure it.
+fixed share of it (``LOCK_FREE_SEARCH_SHARE``) as the lock-free T_S
+part. The model only needs that share to first order (lock-held
+fractions shift the congestion knee, not its existence).
 """
 from __future__ import annotations
 
@@ -22,6 +21,14 @@ from repro.bench.tables_single import steady_state
 from repro.concurrency.simulator import ServiceTimes
 from repro.join import ibwj
 
+# Share of the measured 'search' that runs without a lock: the T_S
+# descent of a PIM-Tree, the descent to the page of a Bw-Tree. A guess,
+# not a measurement; ROADMAP item 4 plans to time both parts.
+LOCK_FREE_SEARCH_SHARE = 0.5
+# Extra lookup cost while a nonblocking merge runs (the longer
+# edge-to-head linear scan), as a multiple of the result scan.
+MERGE_SCAN_SURCHARGE = 2.0
+
 
 @dataclass
 class Calibration:
@@ -30,6 +37,7 @@ class Calibration:
     merge_interval: int  # tuples between merges (0 if none)
     throughput_st: float  # measured single-threaded tuples/s
     n_matches: int
+    n_subindexes: int  # PIM-Tree sub-indexes at the end of the run; else 0
 
 
 def measure(
@@ -46,9 +54,14 @@ def measure(
     The window is pre-filled with 2w tuples (both streams), then
     ``n_process`` tuples are timed.
     """
+    adapters = []
+
+    def factory(win):
+        adapters.append(ibwj.ADAPTERS[approach](win, **adapter_kwargs))
+        return adapters[-1]
+
     res = steady_state(
-        lambda win: ibwj.ADAPTERS[approach](win, **adapter_kwargs),
-        w, n_process=n_process, match_rate=match_rate, seed=seed,
+        factory, w, n_process=n_process, match_rate=match_rate, seed=seed,
         measure=True,
     )
     c = res.costs
@@ -65,6 +78,11 @@ def measure(
         merge_interval=merge_interval,
         throughput_st=res.throughput,
         n_matches=res.n_matches,
+        n_subindexes=(
+            adapters[0].idx.n_subindexes
+            if isinstance(adapters[0], ibwj.PIMAdapter)
+            else 0
+        ),
     )
 
 
@@ -99,20 +117,18 @@ def _driver_overhead(cal: Calibration) -> float:
     return max(0.0, 1.0 / cal.throughput_st - measured)
 
 
-def service_times_pim(
-    cal: Calibration, *, ts_share: float = 0.5, scan_surcharge_factor: float = 2.0
-) -> ServiceTimes:
+def service_times_pim(cal: Calibration) -> ServiceTimes:
     """ServiceTimes for PIM-Tree: the sub-index share of search plus the
     insert runs under the partition lock; the T_S share, result scan and
     driver bookkeeping are lock-free."""
     p = cal.per_tuple
+    share = LOCK_FREE_SEARCH_SHARE
     return ServiceTimes(
-        lock_free=p["search"] * ts_share + p["scan"] + _driver_overhead(cal),
-        locked=p["search"] * (1 - ts_share) + p["insert"],
-        delete=0.0,
+        lock_free=p["search"] * share + p["scan"] + _driver_overhead(cal),
+        locked=p["search"] * (1 - share) + p["insert"],
         merge_duration=cal.merge_duration,
         merge_interval=cal.merge_interval,
-        scan_surcharge=scan_surcharge_factor * p["scan"],
+        scan_surcharge=MERGE_SCAN_SURCHARGE * p["scan"],
     )
 
 
@@ -121,8 +137,9 @@ def service_times_bw(cal: Calibration) -> ServiceTimes:
     (lock_free); page delta-prepend + delta-chain reads are the CAS-
     protected portion."""
     p = cal.per_tuple
+    share = LOCK_FREE_SEARCH_SHARE
     return ServiceTimes(
-        lock_free=p["search"] * 0.5 + p["scan"] + _driver_overhead(cal),
-        locked=p["search"] * 0.5 + p["insert"],
+        lock_free=p["search"] * share + p["scan"] + _driver_overhead(cal),
+        locked=p["search"] * (1 - share) + p["insert"],
         delete=p["delete"],
     )

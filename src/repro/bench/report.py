@@ -12,6 +12,7 @@ entry at smoke scale.
 from __future__ import annotations
 
 import os
+import subprocess
 import time
 from pathlib import Path
 from typing import Callable
@@ -172,15 +173,32 @@ def to_markdown(pdf: pd.DataFrame) -> str:
     return "\n".join(lines)
 
 
+def _git_sha() -> str:
+    """Short sha of the checkout's HEAD, or ``unknown`` outside git."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=RESULTS_DIR.parent, capture_output=True, text=True,
+        )
+    except OSError:
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
 def run_table(spark: SparkSession, name: str, scale: str = "full") -> pd.DataFrame:
-    """Run the registry entry ``name`` and print it as markdown. Only a
+    """Run the registry entry ``name`` and print it as markdown, with a
+    footer naming the run time, the usable cores and the git sha. Only a
     full-scale run writes ``results/<name>.md``, so smoke numbers never
     replace the committed ones."""
     title, table_fn = TABLES[name]
     t0 = time.perf_counter()
     pdf = table_fn(spark, scale)
     dt = time.perf_counter() - t0
-    md = f"## {name} — {title}\n\n{to_markdown(pdf)}\n\n_generated in {dt:.1f}s_\n"
+    footer = (
+        f"_generated in {dt:.1f}s on {len(os.sched_getaffinity(0))} cores"
+        f" at {_git_sha()}_"
+    )
+    md = f"## {name} — {title}\n\n{to_markdown(pdf)}\n\n{footer}\n"
     print(md)
     if scale == "full":
         RESULTS_DIR.mkdir(exist_ok=True)

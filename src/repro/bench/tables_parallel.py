@@ -10,13 +10,12 @@ as a cross-check of the simulator's scaling shape.
 from __future__ import annotations
 
 import dataclasses
-import time
 
 import numpy as np
 import pandas as pd
 
 from repro.bench import calibrate
-from repro.bench.tables_single import steady_state
+from repro.bench.tables_single import _timed, steady_state
 from repro.concurrency.simulator import (
     SimConfig,
     SimResult,
@@ -24,12 +23,31 @@ from repro.concurrency.simulator import (
     simulate,
     simulate_round_robin,
 )
-from repro.core.pim_tree import PIMTree
 from repro.join import ibwj
 from repro.join.streams import diff_for_match_rate, gen_stream
 
 N_SIM_TUPLES = 40_000
-HW_THREADS = 16  # the paper's octa-core with hyper-threading
+# The paper's machine: an octa-core Xeon E5-2665 with hyper-threading.
+HW_THREADS = 16
+PHYSICAL_CORES = 8
+HT_SPEEDUP = 1.24  # 16 threads over 8 on that machine (Fig. 12a prose)
+
+
+def _on_paper_machine(run, n_threads: int):
+    """Model ``n_threads`` threads on the paper's machine. ``run(p)``
+    simulates p threads as p full cores and returns a ``SimResult`` or a
+    throughput. Above ``PHYSICAL_CORES`` the extra threads are
+    hyper-threads, so throughput is min(``run(n_threads)``,
+    ``HT_SPEEDUP`` x ``run(PHYSICAL_CORES)``); every other field, such
+    as latency, comes from the ``n_threads`` run."""
+    if n_threads <= PHYSICAL_CORES:
+        return run(n_threads)
+    cores = run(PHYSICAL_CORES)
+    full = run(n_threads)
+    if isinstance(full, SimResult):
+        cap = HT_SPEEDUP * cores.throughput
+        return dataclasses.replace(full, throughput=min(full.throughput, cap))
+    return min(full, HT_SPEEDUP * cores)
 
 
 def _simulate_pim(
@@ -41,36 +59,43 @@ def _simulate_pim(
     partition_probs=None,
     nonblocking: bool = True,
 ) -> SimResult:
-    """Simulate the PIM join with ``n_threads`` threads modelled as full
-    cores. The simulated stream covers >= 3 merge cycles — otherwise
-    large-m configurations would never pay a merge and multithreaded
-    throughput would be overstated."""
+    """Simulate the PIM join with ``n_threads`` threads on the paper's
+    machine (``_on_paper_machine``). The simulated stream covers >= 3
+    merge cycles — otherwise large-m configurations would never pay a
+    merge and multithreaded throughput would be overstated."""
     n = N_SIM_TUPLES
     if st.merge_interval:
         n = min(400_000, max(n, int(3.2 * st.merge_interval)))
-    return simulate(
-        SimConfig(
-            n_threads=n_threads,
-            n_tuples=n,
-            task_size=task_size,
-            mode="pim",
-            n_partitions=n_parts,
-            partition_probs=partition_probs,
-            nonblocking_merge=nonblocking,
+    return _on_paper_machine(
+        lambda p: simulate(
+            SimConfig(
+                n_threads=p,
+                n_tuples=n,
+                task_size=task_size,
+                mode="pim",
+                n_partitions=n_parts,
+                partition_probs=partition_probs,
+                nonblocking_merge=nonblocking,
+            ),
+            st,
         ),
-        st,
+        n_threads,
     )
 
 
-def _pim_subindex_count(w: int, d_i: int) -> int:
-    """Number of PIM sub-indexes at steady state for (w, D_I) — measured
-    from a populated tree, not assumed."""
-    t = PIMTree(w, 1.0, d_i)
-    rng = np.random.default_rng(0)
-    for p in range(1, w + 1):
-        t.insert(int(rng.integers(0, 1 << 24)), p)
-    t.merge(1)
-    return t.n_subindexes
+def _simulate_bw(cal: calibrate.Calibration, w: int, n_threads: int) -> SimResult:
+    """Simulate the IBWJ join over one shared Bw-Tree-like index on the
+    paper's machine. CAS conflicts are counted per page; a window of w
+    fills w / 64 pages of ``BwAdapter``'s default capacity."""
+    st = calibrate.service_times_bw(cal)
+    return _on_paper_machine(
+        lambda p: simulate(
+            SimConfig(n_threads=p, n_tuples=N_SIM_TUPLES, mode="bw",
+                      n_partitions=max(4, w // 64)),
+            st,
+        ),
+        n_threads,
+    )
 
 
 _CAL_CACHE: dict[tuple, tuple] = {}
@@ -80,6 +105,8 @@ def _pim_calibration(
     w: int, d_i: int, merge_ratio: float, match_rate: float, n_process: int
 ):
     """Cached (calibration, service_times, n_partitions) for one config.
+    ``n_partitions`` is the sub-index count of the calibration run's
+    PIM-Tree: after the 2w prefill its T_S holds the w-element window.
 
     When the calibration window is too short to see a merge, the merge
     interval comes from the threshold analytically (one merge per m*w
@@ -102,33 +129,8 @@ def _pim_calibration(
             st.merge_duration = calibrate.measure_merge_cost(
                 w, merge_ratio, d_i
             )
-        _CAL_CACHE[key] = (cal, st, _pim_subindex_count(w, d_i))
+        _CAL_CACHE[key] = (cal, st, cal.n_subindexes)
     return _CAL_CACHE[key]
-
-
-def _sim_pim(
-    w: int,
-    n_threads: int,
-    *,
-    d_i: int = 2,
-    merge_ratio: float = 1.0,
-    nonblocking: bool = True,
-    match_rate: float = 2.0,
-    n_process: int | None = None,
-):
-    cal, st, n_parts = _pim_calibration(
-        w, d_i, merge_ratio, match_rate, n_process or 20000
-    )
-    sim = _simulate_pim(st, n_parts, min(n_threads, 8), nonblocking=nonblocking)
-    if n_threads > 8:
-        # Hyper-threaded logical cores add ~24 % over the 8 physical
-        # cores in the paper (Fig. 12a prose); the simulator models
-        # threads as full cores, so the HT tier is applied as a factor.
-        full = _simulate_pim(st, n_parts, n_threads, nonblocking=nonblocking)
-        sim = dataclasses.replace(
-            full, throughput=min(full.throughput, sim.throughput * 1.24)
-        )
-    return sim, cal
 
 
 def table_existing_approaches(scale: str = "full") -> pd.DataFrame:
@@ -144,42 +146,34 @@ def table_existing_approaches(scale: str = "full") -> pd.DataFrame:
     for w in ws:
         nl = calibrate.measure("nlwj", w, n_process=min(n, 6000))
         bp = calibrate.measure("bplus", w, n_process=n)
-        # Local round-robin index ops run on windows of w/P per core.
-        bp_local = calibrate.measure("bplus", max(256, w // HW_THREADS), n_process=n)
         bw = calibrate.measure("bw", w, n_process=min(n, 8000))
         nl_p = nl.per_tuple
-        bp_p = bp.per_tuple
-        lp = bp_local.per_tuple
-        # NLWJ-RR: the O(w) scan parallelises perfectly across cores.
-        nlwj_mt = simulate_round_robin(
-            HW_THREADS, 0.0, nl_p["search"] + nl_p["scan"],
-            nl_p["insert"], nl_p["delete"],
-        )
-        # IBWJ-RR: every core searches its local index for every tuple.
-        ibwj_rr_mt = simulate_round_robin(
-            HW_THREADS, lp["search"], bp_p["scan"], lp["insert"], lp["delete"],
-        )
-        # IBWJ-Bw: shared latch-free index, CAS conflicts per page.
-        from repro.baselines.bw_tree import BwTreeLike
 
-        pages = BwTreeLike()
-        probe_pages = max(4, w // pages.page_capacity)
-        bw_st = calibrate.service_times_bw(bw)
-        bw_sim = simulate(
-            SimConfig(
-                n_threads=HW_THREADS, n_tuples=N_SIM_TUPLES, task_size=8,
-                mode="bw", n_partitions=probe_pages,
-            ),
-            bw_st,
-        )
+        def nlwj_rr(p):
+            # NLWJ-RR: the O(w) scan parallelises perfectly across cores.
+            return simulate_round_robin(
+                p, 0.0, nl_p["search"] + nl_p["scan"],
+                nl_p["insert"], nl_p["delete"],
+            )
+
+        def ibwj_rr(p):
+            # IBWJ-RR: every core searches its local index, a window of
+            # w/P, for every tuple.
+            local = calibrate.measure("bplus", max(256, w // p), n_process=n)
+            lp = local.per_tuple
+            return simulate_round_robin(
+                p, lp["search"], bp.per_tuple["scan"],
+                lp["insert"], lp["delete"],
+            )
+
         rows.append(
             {
                 "w": w,
                 "nlwj_st": nl.throughput_st,
-                "nlwj_rr_mt": nlwj_mt,
+                "nlwj_rr_mt": _on_paper_machine(nlwj_rr, HW_THREADS),
                 "ibwj_bplus_st": bp.throughput_st,
-                "ibwj_rr_mt": ibwj_rr_mt,
-                "ibwj_bw_mt": bw_sim.throughput,
+                "ibwj_rr_mt": _on_paper_machine(ibwj_rr, HW_THREADS),
+                "ibwj_bw_mt": _simulate_bw(bw, w, HW_THREADS).throughput,
             }
         )
     return pd.DataFrame(rows)
@@ -194,9 +188,9 @@ def table_insertion_depth_parallel(scale: str = "full") -> pd.DataFrame:
     for w in ws:
         row = {"w": w}
         for d in depths:
-            sim, _ = _sim_pim(w, HW_THREADS, d_i=d, n_process=12000)
-            row[f"d{d}"] = sim.throughput
-            row[f"d{d}_nsub"] = _pim_calibration(w, d, 1.0, 2.0, 12000)[2]
+            _, st, n_parts = _pim_calibration(w, d, 1.0, 2.0, 12000)
+            row[f"d{d}"] = _simulate_pim(st, n_parts, HW_THREADS).throughput
+            row[f"d{d}_nsub"] = n_parts
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -221,9 +215,9 @@ def table_merge_ratio_parallel(scale: str = "full") -> pd.DataFrame:
                 merge_duration=calibrate.measure_merge_cost(w, m),
                 merge_interval=max(1, int(m * w)),
             )
-            sim = _simulate_pim(st, n_parts, 8)
+            sim = _simulate_pim(st, n_parts, HW_THREADS)
             label = f"m=2^{int(np.log2(m))}" if m < 1 else "m=1"
-            row[label] = sim.throughput * 1.24  # HT tier (see _sim_pim)
+            row[label] = sim.throughput
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -253,6 +247,7 @@ def table_scalability(scale: str = "full") -> pd.DataFrame:
     overhead the paper measures (~40 % / ~26 %)."""
     w = 1 << (16 if scale == "full" else 13)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
+    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 12000)
     rows = []
     for self_join in (False, True):
         tag = "self" if self_join else "two_way"
@@ -266,9 +261,7 @@ def table_scalability(scale: str = "full") -> pd.DataFrame:
             w, self_join=self_join, n_process=n_cc,
         ).throughput
         for p in threads:
-            # the >8-thread hyper-threading cap is applied inside _sim_pim
-            sim, _ = _sim_pim(w, p, merge_ratio=1.0, n_process=12000)
-            eff = sim.throughput
+            eff = _simulate_pim(st, n_parts, p).throughput
             rows.append(
                 {
                     "join": tag,
@@ -294,24 +287,18 @@ def table_multithreading_efficiency(scale: str = "full") -> pd.DataFrame:
     rows = []
     for w in ws:
         bp = calibrate.measure("bplus", w, n_process=16000)
-        sim_nb, cal = _sim_pim(w, HW_THREADS, merge_ratio=1.0)
-        sim_bl, _ = _sim_pim(w, HW_THREADS, merge_ratio=1.0, nonblocking=False)
+        cal, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 20000)
         bw = calibrate.measure("bw", w, n_process=8000)
-        bw_sim = simulate(
-            SimConfig(
-                n_threads=HW_THREADS, n_tuples=N_SIM_TUPLES, task_size=8,
-                mode="bw", n_partitions=max(4, w // 64),
-            ),
-            calibrate.service_times_bw(bw),
-        )
         rows.append(
             {
                 "w": w,
                 "bplus_st": bp.throughput_st,
                 "pim_st": cal.throughput_st,
-                "bw_mt": bw_sim.throughput,
-                "pim_mt": sim_nb.throughput,
-                "pim_mt_blocking": sim_bl.throughput,
+                "bw_mt": _simulate_bw(bw, w, HW_THREADS).throughput,
+                "pim_mt": _simulate_pim(st, n_parts, HW_THREADS).throughput,
+                "pim_mt_blocking": _simulate_pim(
+                    st, n_parts, HW_THREADS, nonblocking=False
+                ).throughput,
             }
         )
     return pd.DataFrame(rows)
@@ -329,7 +316,8 @@ def table_selfjoin(scale: str = "full") -> pd.DataFrame:
             lambda win: ibwj.PIMAdapter(win, 1.0, 2), w,
             merge_ratio=1.0, self_join=True,
         ).throughput
-        sim, _ = _sim_pim(w, HW_THREADS, merge_ratio=1.0, n_process=12000)
+        _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 12000)
+        sim = _simulate_pim(st, n_parts, HW_THREADS)
         rows.append(
             {
                 "w": w,
@@ -351,9 +339,8 @@ def table_match_rate_parallel(scale: str = "full") -> pd.DataFrame:
     rates = [2**-2, 2**2, 2**6, 2**10] if scale == "full" else [1.0]
     rows = []
     for r in rates:
-        sim, cal = _sim_pim(
-            w, HW_THREADS, merge_ratio=1.0, match_rate=r, n_process=10000
-        )
+        cal, st, n_parts = _pim_calibration(w, 2, 1.0, r, 10000)
+        sim = _simulate_pim(st, n_parts, HW_THREADS)
         rows.append(
             {
                 "match_rate": r,
@@ -422,22 +409,10 @@ def spark_throughput(
     out = parallel_band_join(
         spark, seq, w, w_s, diff, n_partitions=n_partitions
     )
-    out = out.persist()
-    try:
-        out.count()  # warm: JIT, python-worker spin-up, input shuffle
-        out.unpersist()
-        # best-of-2 timed runs of the full pipeline (re-executed after
-        # unpersist) — cold-start variance would otherwise dominate the
-        # partition-count comparison.
-        best = None
-        for _ in range(2):
-            t0 = time.perf_counter()
-            out.count()
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return n_tuples / best
-    finally:
-        out.unpersist()
+    out.count()  # warm-up: JVM JIT and Python-worker spin-up
+    # best-of-2 timed runs of the full pipeline — cold-start variance
+    # would otherwise dominate the partition-count comparison.
+    return n_tuples / min(_timed(out.count) for _ in range(2))
 
 
 def table_spark_scalability(spark, scale: str = "full") -> pd.DataFrame:

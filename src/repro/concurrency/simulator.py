@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 CAS_RETRY_FACTOR = 1.0  # fraction of locked work redone per CAS retry
+RR_SYNC_OVERHEAD = 1e-6  # round-robin per-tuple synchronisation (s)
 
 
 @dataclass
@@ -53,11 +54,10 @@ class SimConfig:
     n_threads: int
     n_tuples: int
     task_size: int = 8
-    mode: str = "pim"  # pim | bw | single
+    mode: str = "pim"  # pim | bw
     n_partitions: int = 16  # sub-indexes (pim) / pages (bw)
     partition_probs: np.ndarray | None = None  # default uniform
     nonblocking_merge: bool = True
-    seed: int = 0
 
 
 @dataclass
@@ -81,7 +81,7 @@ def simulate(cfg: SimConfig, st: ServiceTimes, keep_trace: bool = False) -> SimR
     """
     import heapq
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     n, p = cfg.n_tuples, cfg.n_threads
     probs = cfg.partition_probs
     if probs is None:
@@ -153,10 +153,8 @@ def simulate(cfg: SimConfig, st: ServiceTimes, keep_trace: bool = False) -> SimR
             hold = st.locked + st.delete
             part_free[pi] = s + hold
             t = s + hold
-        elif cfg.mode == "bw":
+        else:  # bw
             t += (st.locked + st.delete) * cas_mult
-        else:  # single / uncontended
-            t += st.locked + st.delete
         since_merge += 1
         if st.merge_interval and since_merge >= st.merge_interval:
             since_merge = 0
@@ -199,7 +197,6 @@ def simulate_round_robin(
     scan_total: float,
     insert: float,
     delete: float,
-    sync_overhead: float = 1e-6,
 ) -> float:
     """Throughput of round-robin (handshake-join-style) parallel IBWJ.
 
@@ -213,13 +210,9 @@ def simulate_round_robin(
         search_local
         + scan_total / n_threads
         + (insert + delete) / n_threads
-        + sync_overhead
+        + RR_SYNC_OVERHEAD
     )
     return 1.0 / per_thread
-
-
-def uniform_partition_probs(n: int) -> np.ndarray:
-    return np.full(n, 1.0 / n)
 
 
 def drift_partition_probs(n: int, skew: float) -> np.ndarray:

@@ -5,8 +5,8 @@ Elements are ``(key, pos)`` pairs where ``pos`` is the per-stream arrival
 position; duplicate keys are allowed and are disambiguated by ``pos``.
 
 Used as: the IBWJ baseline index, the mutable component (T_I) of IM-Tree,
-the sub-indexes (B_i) of PIM-Tree, the local indexes of round-robin
-partitioning, and the active sub-index of the chained index.
+the sub-indexes (B_i) of PIM-Tree, and the active sub-index of the
+chained index.
 
 Deletion removes the element from its leaf without underflow rebalancing
 (empty leaves are unlinked lazily). Sliding-window workloads delete in
@@ -17,7 +17,6 @@ the access pattern the paper's baseline exercises.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator
 
 import numpy as np
 
@@ -248,14 +247,3 @@ class BPlusTree:
                 poss += leaf.poss
                 leaf = leaf.nxt
         return np.asarray(keys, np.int64), np.asarray(poss, np.int64)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        """All elements in key order (pos order within equal keys is
-        insertion order)."""
-        node = self._root
-        while isinstance(node, _Inner):
-            node = node.children[0]
-        leaf: _Leaf | None = node
-        while leaf is not None:
-            yield from zip(leaf.keys, leaf.poss)
-            leaf = leaf.nxt

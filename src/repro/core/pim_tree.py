@@ -81,7 +81,6 @@ class PIMTree:
         self._reset_subindexes()
         self.merge_threshold = max(1, int(merge_ratio * window))
         self.n_merges = 0
-        self.merged_elements = 0
         self.lock_acquisitions = 0
 
     # -- structure maintenance -------------------------------------------
@@ -132,7 +131,6 @@ class PIMTree:
         self.t_s = ImmutableBTree(keys, poss, self.fanout_imm)
         self._reset_subindexes()
         self.n_merges = src.n_merges + 1
-        self.merged_elements = src.merged_elements + len(keys)
         return len(keys)
 
     @property
@@ -141,10 +139,6 @@ class PIMTree:
 
     def __len__(self) -> int:
         return self._n_i + len(self.t_s)
-
-    @property
-    def t_i_size(self) -> int:
-        return self._n_i
 
     def needs_merge(self) -> bool:
         return self._n_i >= self.merge_threshold

@@ -5,8 +5,7 @@ opposite stream's index for band matches, (2) retire the expired tuple
 from this stream's index, (3) insert the new tuple (Eq. 1). The index
 behaviour is pluggable through small adapters so one driver exercises
 every approach the paper compares: B+-Tree, chained index (both
-variants), round-robin partitioning, Bw-Tree-like, NLWJ, IM-Tree and
-PIM-Tree.
+variants), Bw-Tree-like, NLWJ, IM-Tree and PIM-Tree.
 
 With ``measure=True`` the driver accumulates per-step wall time —
 search, scan, insert, delete, merge — which backs the Fig. 9b cost
@@ -25,7 +24,6 @@ import pandas as pd
 from repro.baselines.bw_tree import BwTreeLike
 from repro.baselines.chained_index import ChainedIndex
 from repro.baselines.nlwj import NLWJWindow
-from repro.baselines.round_robin import RoundRobinIndex
 from repro.core.pim_tree import PIMTree
 from repro.join.streams import gpos_by_spos
 
@@ -118,23 +116,6 @@ class ChainAdapter(_Adapter):
 
     def maintain(self, min_pos: int, costs: StepCosts, measure: bool) -> None:
         self.idx.expire(min_pos)
-
-    def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
-        return self.idx.probe(lo, hi, min_pos)
-
-    def memory_bytes(self) -> int:
-        return self.idx.memory_bytes()
-
-
-class RoundRobinAdapter(_Adapter):
-    def __init__(self, window: int, n_partitions: int) -> None:
-        self.idx = RoundRobinIndex(window, n_partitions)
-
-    def insert(self, key: int, pos: int) -> None:
-        self.idx.insert(key, pos)
-
-    def retire(self, expired_key: int, expired_pos: int) -> None:
-        self.idx.delete(expired_key, expired_pos)
 
     def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
         return self.idx.probe(lo, hi, min_pos)
@@ -247,7 +228,6 @@ class IMAdapter(PIMAdapter):
 ADAPTERS = {
     "bplus": BPlusAdapter,
     "chain": ChainAdapter,
-    "rr": RoundRobinAdapter,
     "bw": BwAdapter,
     "nlwj": NLWJAdapter,
     "im": IMAdapter,

@@ -1,12 +1,11 @@
-"""Unit tests for the baseline indexes: NLWJ window, chained index,
-round-robin partitioning and the Bw-Tree-like delta index."""
+"""Unit tests for the baseline indexes: NLWJ window, chained index and
+the Bw-Tree-like delta index."""
 import numpy as np
 import pytest
 
 from repro.baselines.bw_tree import BwTreeLike
 from repro.baselines.chained_index import ChainedIndex
 from repro.baselines.nlwj import NLWJWindow
-from repro.baselines.round_robin import RoundRobinIndex
 
 
 # ---------------------------------------------------------------- NLWJ
@@ -92,37 +91,6 @@ def test_ib_chain_archives_are_immutable():
         idx.insert(p, p)
     assert idx.archived
     assert all(isinstance(t, ImmutableBTree) for t, _, _ in idx.archived)
-
-
-# ----------------------------------------------------------- round-robin
-@pytest.mark.parametrize("P", [1, 2, 4, 8])
-def test_round_robin_window_contents(P):
-    w = 256
-    idx = RoundRobinIndex(w, P)
-    rng = np.random.default_rng(2)
-    ring = {}
-    for p in range(1, 1200):
-        k = int(rng.integers(0, 3000))
-        if p > w:
-            assert idx.delete(ring.pop(p - w), p - w)
-        idx.insert(k, p)
-        ring[p] = k
-    assert len(idx) == w
-    got = idx.probe(0, 3000)
-    assert sorted(got) == sorted((k, p) for p, k in ring.items())
-
-
-def test_round_robin_partitions_balanced():
-    idx = RoundRobinIndex(1000, 4)
-    for p in range(1, 1001):
-        idx.insert(p, p)
-    sizes = [len(t) for t in idx.locals]
-    assert max(sizes) - min(sizes) <= 1
-
-
-def test_round_robin_rejects_zero_partitions():
-    with pytest.raises(ValueError):
-        RoundRobinIndex(100, 0)
 
 
 # ----------------------------------------------------------- Bw-Tree-like

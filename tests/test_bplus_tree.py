@@ -13,6 +13,12 @@ def _ref_range(ref, lo, hi, min_pos=-1):
     return [(k, p) for k, p in ref if lo <= k <= hi and p >= min_pos]
 
 
+def _items(t):
+    """All elements of ``t`` in key order, as ``(key, pos)`` pairs."""
+    ka, pa = t.items_arrays()
+    return list(zip(ka.tolist(), pa.tolist()))
+
+
 @pytest.mark.parametrize("fanout", [4, 8, 16, 32])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_insert_and_items_sorted(fanout, seed):
@@ -23,7 +29,7 @@ def test_insert_and_items_sorted(fanout, seed):
         t.insert(int(k), i)
         ref.append((int(k), i))
     assert len(t) == 2000
-    got = list(t.items())
+    got = _items(t)
     assert [k for k, _ in got] == sorted(k for k, _ in ref)
     assert sorted(got) == sorted(ref)
 
@@ -62,7 +68,7 @@ def test_delete_exact_element(fanout):
     for k, p in victims:
         assert t.delete(k, p)
     remaining = sorted(set(ref) - set(victims))
-    assert sorted(t.items()) == remaining
+    assert sorted(_items(t)) == remaining
     assert len(t) == len(remaining)
 
 
@@ -81,7 +87,7 @@ def test_delete_duplicate_keys_across_leaves():
         t.insert(7, p)  # one key, many positions -> spans several leaves
     for p in range(1, 40, 2):
         assert t.delete(7, p)
-    assert sorted(p for _, p in t.items()) == list(range(2, 40, 2))
+    assert sorted(p for _, p in _items(t)) == list(range(2, 40, 2))
 
 
 def test_fifo_window_churn_stays_consistent():
@@ -97,7 +103,7 @@ def test_fifo_window_churn_stays_consistent():
         t.insert(k, p)
         ring[p] = k
         assert len(t) == min(p, w)
-    assert sorted(t.items()) == sorted((k, p) for p, k in ring.items())
+    assert sorted(_items(t)) == sorted((k, p) for p, k in ring.items())
 
 
 def test_height_grows_logarithmically():
@@ -133,7 +139,7 @@ def test_empty_tree_operations():
     assert len(t) == 0
     assert t.search_range(0, 100) == []
     assert not t.delete(1, 1)
-    assert list(t.items()) == []
+    assert _items(t) == []
     assert t.height == 1
 
 
@@ -146,12 +152,16 @@ def test_memory_bytes_tracks_size():
 
 
 def test_items_arrays_matches_items():
+    """The bulk extraction equals the full-range leaf walk of a probe."""
     rng = np.random.default_rng(6)
     t = BPlusTree(8)
-    for i, k in enumerate(rng.integers(0, 100, 500), 1):
-        t.insert(int(k), i)
+    keys = rng.integers(0, 100, 500).tolist()
+    for i, k in enumerate(keys, 1):
+        t.insert(k, i)
     ka, pa = t.items_arrays()
-    assert list(zip(ka.tolist(), pa.tolist())) == list(t.items())
+    full = t.search_range(min(keys), max(keys))
+    assert len(full) == len(t) == 500
+    assert list(zip(ka.tolist(), pa.tolist())) == full
     assert list(ka) == sorted(ka)
 
 
@@ -210,4 +220,4 @@ def test_property_insert_delete_interleaved(ops):
         else:
             victim = live.pop(len(live) // 2)
             assert t.delete(*victim)
-    assert sorted(t.items()) == live
+    assert sorted(_items(t)) == live

@@ -9,7 +9,6 @@ from repro.concurrency.simulator import (
     drift_partition_probs,
     simulate,
     simulate_round_robin,
-    uniform_partition_probs,
 )
 
 ST = ServiceTimes(lock_free=4e-6, locked=4e-6, task_acquire=1e-6)
@@ -17,7 +16,7 @@ ST = ServiceTimes(lock_free=4e-6, locked=4e-6, task_acquire=1e-6)
 
 def test_single_thread_makespan_is_serial_sum():
     n = 1000
-    cfg = SimConfig(n_threads=1, n_tuples=n, task_size=8, mode="single")
+    cfg = SimConfig(n_threads=1, n_tuples=n, task_size=8, mode="pim")
     r = simulate(cfg, ST)
     per_task = ST.task_acquire
     expect = n * (ST.lock_free + ST.locked) + (n / 8) * per_task
@@ -48,7 +47,7 @@ def test_lock_congestion_with_few_partitions():
 def test_skewed_partition_probs_congest():
     """Drifted insert distribution (Fig. 13a/b) causes lock congestion."""
     kw = dict(n_threads=8, n_tuples=4000, task_size=8, mode="pim", n_partitions=64)
-    uni = simulate(SimConfig(partition_probs=uniform_partition_probs(64), **kw), ST)
+    uni = simulate(SimConfig(partition_probs=None, **kw), ST)
     hot = simulate(SimConfig(partition_probs=drift_partition_probs(64, 1.0), **kw), ST)
     assert hot.throughput < uni.throughput * 0.75
 
@@ -120,7 +119,7 @@ def test_trace_lock_exclusion_invariant():
 
 
 def test_deterministic_given_seed():
-    cfg = SimConfig(n_threads=4, n_tuples=1000, mode="pim", n_partitions=32, seed=7)
+    cfg = SimConfig(n_threads=4, n_tuples=1000, mode="pim", n_partitions=32)
     a = simulate(cfg, ST)
     b = simulate(cfg, ST)
     assert a.makespan == b.makespan
@@ -153,6 +152,6 @@ def test_drift_probs_normalised():
 
 
 def test_sim_result_fields():
-    r = simulate(SimConfig(n_threads=2, n_tuples=100, mode="single"), ST)
+    r = simulate(SimConfig(n_threads=2, n_tuples=100, mode="pim"), ST)
     assert isinstance(r, SimResult)
     assert r.throughput == pytest.approx(100 / r.makespan)

@@ -3,6 +3,8 @@ by committed results, every generator reached, ``results/`` laid out as
 ``run_table`` and ``jobs/run_all.py`` write it. Runs no table."""
 import ast
 import inspect
+import os
+import re
 
 import pandas as pd
 
@@ -71,4 +73,15 @@ def test_run_table_writes_results_only_at_full_scale(monkeypatch, tmp_path, caps
     assert f"## {name} — {title}" in capsys.readouterr().out
     assert not list(tmp_path.iterdir())
     report.run_table(None, name, "full")
-    assert (tmp_path / f"{name}.md").read_text().startswith(f"## {name} — {title}")
+    text = (tmp_path / f"{name}.md").read_text()
+    assert text.startswith(f"## {name} — {title}")
+    # The footer says where the numbers came from.
+    footer = text.rstrip("\n").splitlines()[-1]
+    cores = len(os.sched_getaffinity(0))
+    assert re.fullmatch(
+        rf"_generated in \d+\.\ds on {cores} cores at ([0-9a-f]{{4,}}|unknown)_",
+        footer,
+    ), footer
+    monkeypatch.setattr(report, "RESULTS_DIR", tmp_path / "no-checkout" / "results")
+    report.run_table(None, name, "smoke")
+    assert capsys.readouterr().out.rstrip("\n").endswith(" at unknown_")

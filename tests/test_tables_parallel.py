@@ -1,0 +1,69 @@
+"""The modelling decisions of the simulated tables, each made in one
+place: how a thread count above the paper's 8 physical cores is modelled
+(``_on_paper_machine``) and how many sub-indexes a configuration has
+(``_pim_calibration``)."""
+import numpy as np
+import pytest
+
+from repro.bench import tables_parallel as tp
+from repro.concurrency.simulator import (
+    ServiceTimes,
+    SimConfig,
+    simulate,
+    simulate_round_robin,
+)
+from repro.core.immutable_btree import ImmutableBTree
+
+ST = ServiceTimes(lock_free=4e-6, locked=4e-6, task_acquire=1e-6)
+
+
+def _plain(n_parts, n_threads):
+    """The simulation of ``n_threads`` full cores, without the rule."""
+    cfg = SimConfig(
+        n_threads=n_threads, n_tuples=tp.N_SIM_TUPLES, mode="pim",
+        n_partitions=n_parts,
+    )
+    return simulate(cfg, ST)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 8])
+def test_paper_machine_is_the_plain_simulation_up_to_8_threads(p):
+    assert tp._simulate_pim(ST, 256, p) == _plain(256, p)
+
+
+def test_paper_machine_caps_uncontended_16_threads_at_the_ht_gain():
+    eight, full = _plain(256, 8), _plain(256, 16)
+    got = tp._simulate_pim(ST, 256, 16)
+    assert full.throughput > tp.HT_SPEEDUP * eight.throughput
+    assert got.throughput == tp.HT_SPEEDUP * eight.throughput
+    assert got.mean_latency == full.mean_latency  # from the 16-thread run
+    assert got.p99_latency == full.p99_latency
+
+
+def test_paper_machine_keeps_contended_16_threads_unchanged():
+    """One partition serialises the locked work: 16 full cores are no
+    faster than 1.24 x 8, so the 16-thread run stands as it is."""
+    eight, full = _plain(1, 8), _plain(1, 16)
+    assert full.throughput < tp.HT_SPEEDUP * eight.throughput
+    assert tp._simulate_pim(ST, 1, 16) == full
+
+
+def test_paper_machine_caps_a_plain_throughput():
+    """The round-robin model returns a number, not a ``SimResult``."""
+
+    def rr(p):
+        return simulate_round_robin(p, 1e-7, 8e-6, 2e-6, 2e-6)
+
+    assert tp._on_paper_machine(rr, 4) == rr(4)
+    assert rr(16) > tp.HT_SPEEDUP * rr(8)
+    assert tp._on_paper_machine(rr, 16) == tp.HT_SPEEDUP * rr(8)
+
+
+@pytest.mark.parametrize("d_i", [1, 2, 3])
+def test_pim_calibration_subindexes_are_the_w_element_ts_nodes(d_i):
+    """The sub-index count comes from the calibration run's own PIM-Tree,
+    whose T_S holds the w-element window after the 2w prefill."""
+    w = 1 << 12
+    n_parts = tp._pim_calibration(w, d_i, 1.0, 2.0, 400)[2]
+    ts = ImmutableBTree(np.arange(w), np.arange(w), 32)
+    assert n_parts == ts.n_nodes_at_depth(d_i) > 1
