@@ -1,5 +1,4 @@
 """Tests for the discrete-event multicore simulator (DESIGN.md §3.1)."""
-import numpy as np
 import pytest
 
 from repro.concurrency.simulator import (
