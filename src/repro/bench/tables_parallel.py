@@ -508,6 +508,9 @@ def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
         sim = _simulate_pim(st, n_parts, p)
         # Non-indexed window region grows with in-flight tasks: extra
         # linear-scan loads per lookup ~ (p * task_size / 2) elements.
+        # sim.throughput cancels out of store_share, so this hard-coded
+        # term alone makes the share fall with p: that trend is modelled,
+        # not derived from the simulation or the byte counters.
         extra_load = p * 8 / 2 * 8.0
         load_bw = (per_tuple_load + extra_load) * sim.throughput
         store_bw = per_tuple_store * sim.throughput

@@ -178,44 +178,50 @@ class BPlusTree:
         return False
 
     # -- search -----------------------------------------------------------
-    def _descend(self, key: int) -> _Leaf:
+    def seek(self, lo: int) -> tuple[_Leaf | None, int]:
+        """Descend to the first element with key >= lo (search step only).
+        Charges one ``fanout * 4`` B node load per inner level, counted
+        locally and written once."""
         node = self._root
+        levels = 0
         while isinstance(node, _Inner):
-            i = bisect.bisect_left(node.keys, key)
-            if i == len(node.keys):
-                i -= 1
-            node = node.children[i]
-            self.bytes_loaded += self.fanout * 4
-        return node
-
-    def seek(self, lo: int) -> tuple[_Leaf, int]:
-        """Descend to the first element with key >= lo (search step only)."""
-        leaf = self._descend(lo)
-        i = bisect.bisect_left(leaf.keys, lo)
-        while leaf is not None and i >= len(leaf.keys):
-            leaf = leaf.nxt
+            keys = node.keys
+            # first child whose max key >= lo, clamped to the last child
+            node = node.children[bisect.bisect_left(keys, lo, 0, len(keys) - 1)]
+            levels += 1
+        if levels:
+            self.bytes_loaded += levels * self.fanout * 4
+        i = bisect.bisect_left(node.keys, lo)
+        while node is not None and i >= len(node.keys):
+            node = node.nxt
             i = 0
-        return leaf, i
+        return node, i
 
     def scan(
         self, leaf: _Leaf | None, i: int, hi: int, min_pos: int = -1
     ) -> list[tuple[int, int]]:
         """Linear leaf scan from (leaf, i) while key <= hi; drops elements
-        with pos < min_pos (expired-tuple filtering)."""
+        with pos < min_pos (expired-tuple filtering). Charges 8 B per
+        element read with key <= hi, summed locally and written once."""
         out: list[tuple[int, int]] = []
+        n_read = 0
         while leaf is not None:
             keys, poss = leaf.keys, leaf.poss
             n = len(keys)
-            while i < n:
-                k = keys[i]
+            j = i
+            while j < n:
+                k = keys[j]
                 if k > hi:
+                    self.bytes_loaded += (n_read + j - i) * _ELEM_BYTES
                     return out
-                self.bytes_loaded += _ELEM_BYTES
-                if poss[i] >= min_pos:
-                    out.append((k, poss[i]))
-                i += 1
+                p = poss[j]
+                if p >= min_pos:
+                    out.append((k, p))
+                j += 1
+            n_read += n - i
             leaf = leaf.nxt
             i = 0
+        self.bytes_loaded += n_read * _ELEM_BYTES
         return out
 
     def search_range(

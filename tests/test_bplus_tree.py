@@ -221,3 +221,49 @@ def test_property_insert_delete_interleaved(ops):
             victim = live.pop(len(live) // 2)
             assert t.delete(*victim)
     assert sorted(_items(t)) == live
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(st.integers(0, 40), max_size=300),
+    fanout=st.sampled_from([4, 5, 16]),
+    n_expired=st.integers(0, 300),
+    probes=st.lists(
+        st.tuples(st.integers(-5, 50), st.integers(-10, 60), st.integers(-1, 320)),
+        min_size=1,
+        max_size=20,
+    ),
+)
+def test_property_search_range_pairs_and_bytes(keys, fanout, n_expired, probes):
+    """``search_range`` and ``seek`` + ``scan`` equal a numpy-mask brute
+    force (multi-leaf trees, duplicate-key runs across leaves, leaves
+    emptied by FIFO deletes, ``min_pos``, ``hi < lo``, an empty tree, a
+    seek past the end) and charge the T16 bandwidth model exactly: a
+    seek loads ``(height - 1) * fanout * 4`` B, and the scan 8 B per
+    element from the seek point with key <= hi (expired ones included)."""
+    t = BPlusTree(fanout)
+    for p, k in enumerate(keys, 1):
+        t.insert(k, p)
+    n_expired = min(n_expired, len(keys))
+    for p, k in enumerate(keys[:n_expired], 1):
+        assert t.delete(k, p)
+    ka = np.asarray(keys[n_expired:], np.int64)
+    pa = np.arange(n_expired + 1, len(keys) + 1)
+    descent = (t.height - 1) * fanout * 4
+    for lo, width, min_pos in probes:
+        hi = lo + width
+        in_range = (ka >= lo) & (ka <= hi)
+        live = in_range & (pa >= min_pos)
+        want = sorted(zip(ka[live].tolist(), pa[live].tolist()))
+        scanned = 8 * int(in_range.sum())
+        before = t.bytes_loaded
+        got = t.search_range(lo, hi, min_pos)
+        assert sorted(got) == want
+        assert [k for k, _ in got] == [k for k, _ in want]
+        assert t.bytes_loaded - before == descent + scanned
+        before = t.bytes_loaded
+        leaf, i = t.seek(lo)
+        assert t.bytes_loaded - before == descent
+        before = t.bytes_loaded
+        assert t.scan(leaf, i, hi, min_pos) == got
+        assert t.bytes_loaded - before == scanned

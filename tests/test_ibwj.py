@@ -3,6 +3,7 @@ every index adapter and workload shape the paper evaluates."""
 import numpy as np
 import pytest
 
+from repro.core.immutable_btree import _WALK
 from repro.join import ibwj, spark_join
 from repro.join.streams import (
     KEY_SPACE,
@@ -207,7 +208,9 @@ def test_measure_mode_same_results_as_fast_mode():
 @pytest.mark.parametrize("name", ["im_m125", "pim_d2"])
 def test_probe_split_runs_the_probe_scan(name):
     """The timed probe scans T_S with the production ``scan``: the same
-    matches and the same T_S bytes loaded as the untimed probe."""
+    matches and the same T_S bytes loaded as the untimed probe, for a
+    short band and for one wide enough that T_S returns far more pairs
+    than the scan walks element by element."""
     import random
 
     rnd = random.Random(5)
@@ -219,13 +222,15 @@ def test_probe_split_runs_the_probe_scan(name):
             ad.insert(rnd.randrange(10_000), pos)
         ad.maintain(pos - 200, ibwj.StepCosts(), measure=False)
     assert len(ad.idx.t_s) > 0 and not ad.idx.needs_merge()
-    for lo in range(0, 10_000, 700):
+    bands = [(lo, lo + 300) for lo in range(0, 10_000, 700)] + [(0, 9_999)]
+    for lo, hi in bands:
         b0 = ad.idx.t_s.bytes_loaded
-        want = ad.probe(lo, lo + 300, pos - 200)
+        want = ad.probe(lo, hi, pos - 200)
         b1 = ad.idx.t_s.bytes_loaded
-        got, _, _ = ad.probe_split(lo, lo + 300, pos - 200)
+        got, _, _ = ad.probe_split(lo, hi, pos - 200)
         assert sorted(got) == sorted(want)
         assert ad.idx.t_s.bytes_loaded - b1 == b1 - b0 > 0
+    assert len(ad.idx.t_s) > _WALK  # the last band scans all of T_S
 
 
 def test_pim_probe_split_takes_the_probe_locks():

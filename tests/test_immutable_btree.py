@@ -147,22 +147,25 @@ def test_property_search_range(data, lo, width):
     data=st.lists(st.integers(0, 60), max_size=300),
     fanout=st.sampled_from([2, 4, 32]),
     probes=st.lists(
-        st.tuples(st.integers(-5, 70), st.integers(-10, 30), st.integers(-1, 320)),
+        st.tuples(st.integers(-5, 70), st.integers(-10, 80), st.integers(-1, 320)),
         min_size=1,
         max_size=20,
     ),
 )
 def test_property_search_range_pairs_and_bytes(data, fanout, probes):
     """The ``(key, pos)`` pairs equal a numpy-mask brute force (duplicate
-    keys, empty trees, empty ``hi < lo`` ranges, ``min_pos`` filtering),
-    and each call charges one descent, ``(height + 1) * fanout * 4`` B on a
-    non-empty tree, plus 8 B per element in ``[lo, hi]`` (expired ones
-    included): the T16 bandwidth model."""
+    keys, empty trees, empty ``hi < lo`` ranges, ``min_pos`` filtering,
+    bands both within and far beyond the walked length ``_WALK``, up to
+    the whole array), and each call charges one descent,
+    ``(height + 1) * fanout * 4`` B on a non-empty tree, plus 8 B per
+    element in ``[lo, hi]`` (expired ones included): the T16 bandwidth
+    model."""
     keys = np.sort(np.asarray(data, np.int64))
     poss = np.random.default_rng(len(data)).permutation(len(keys)) + 1
     t = ImmutableBTree(keys, poss, fanout)
     descent = (t.height + 1) * fanout * 4 if len(keys) else 0
-    for lo, width, min_pos in probes:
+    whole = [(-1, 62, min_pos) for _, _, min_pos in probes[:1]]
+    for lo, width, min_pos in probes + whole:
         hi = lo + width
         in_range = (keys >= lo) & (keys <= hi)
         live = in_range & (poss >= min_pos)
