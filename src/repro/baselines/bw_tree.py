@@ -11,7 +11,7 @@ in for the mapping-table parent links.
 
 Single-threaded costs are measured from this structure; multi-threaded
 CAS-conflict behaviour (retry probability ∝ ops colliding on one of
-``n_pages`` pages) is reproduced in ``repro.concurrency.simulator``.
+its pages) is reproduced in ``repro.concurrency.simulator``.
 """
 from __future__ import annotations
 
@@ -57,10 +57,6 @@ class BwTreeLike:
 
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def n_pages(self) -> int:
-        return len(self.pages)
 
     def _page_for(self, key: int) -> int:
         return bisect.bisect_left(self.bounds, key) if self.bounds else 0

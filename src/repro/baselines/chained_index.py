@@ -12,6 +12,9 @@ Two variants, as proposed and measured by the paper:
 - **B-chain**: archived sub-indexes stay mutable B+-Trees.
 - **IB-chain**: a sub-index is converted to an immutable B+-Tree (higher
   fan-out, faster lookups) upon archiving.
+
+Both use the trees' default fan-outs, the paper's f_b = 16 for the
+mutable and f_ib = 32 for the immutable sub-indexes.
 """
 from __future__ import annotations
 
@@ -27,18 +30,14 @@ class ChainedIndex:
         window: int,
         chain_length: int = 2,
         immutable_archive: bool = False,
-        fanout_mut: int = 16,
-        fanout_imm: int = 32,
     ) -> None:
         if chain_length < 2:
             raise ValueError("chain_length must be >= 2")
         self.window = window
         self.chain_length = chain_length
         self.immutable_archive = immutable_archive
-        self.fanout_mut = fanout_mut
-        self.fanout_imm = fanout_imm
         self.capacity = max(1, -(-window // (chain_length - 1)))
-        self.active = BPlusTree(fanout_mut)
+        self.active = BPlusTree()
         # archived: list of (index, min_arrival_pos, max_arrival_pos)
         self.archived: list[tuple[object, int, int]] = []
         self._active_lo = 1  # arrival pos of the active sub-index's first tuple
@@ -60,11 +59,11 @@ class ChainedIndex:
     def _archive(self, last_pos: int) -> None:
         if self.immutable_archive:
             keys, poss = self.active.items_arrays()
-            idx: object = ImmutableBTree(keys, poss, self.fanout_imm)
+            idx: object = ImmutableBTree(keys, poss)
         else:
             idx = self.active
         self.archived.append((idx, self._active_lo, last_pos))
-        self.active = BPlusTree(self.fanout_mut)
+        self.active = BPlusTree()
         self._active_lo = last_pos + 1
 
     def expire(self, min_pos: int) -> int:

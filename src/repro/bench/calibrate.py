@@ -46,13 +46,12 @@ def measure(
     *,
     n_process: int = 20_000,
     match_rate: float = 2.0,
-    seed: int = 0,
     **adapter_kwargs,
 ) -> Calibration:
     """Measure per-step costs for ``approach`` at window size ``w``.
 
-    The window is pre-filled with 2w tuples (both streams), then
-    ``n_process`` tuples are timed.
+    The window is pre-filled with 2w tuples (both streams) of the seed-0
+    stream, then ``n_process`` tuples are timed.
     """
     adapters = []
 
@@ -61,7 +60,7 @@ def measure(
         return adapters[-1]
 
     res = steady_state(
-        factory, w, n_process=n_process, match_rate=match_rate, seed=seed,
+        factory, w, n_process=n_process, match_rate=match_rate, seed=0,
         measure=True,
     )
     c = res.costs
@@ -87,7 +86,7 @@ def measure(
 
 
 def measure_merge_cost(
-    w: int, merge_ratio: float = 1.0, insertion_depth: int = 2, seed: int = 0
+    w: int, merge_ratio: float = 1.0, insertion_depth: int = 2
 ) -> float:
     """Directly time one PIM-Tree merge of ~(1+m)*w elements — used when
     the calibration window is too short to observe a merge (large m*w)."""
@@ -97,7 +96,7 @@ def measure_merge_cost(
 
     from repro.core.pim_tree import PIMTree
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     n = int((1 + merge_ratio) * w)
     t = PIMTree(w, 1.0, insertion_depth)
     for p in range(1, n + 1):

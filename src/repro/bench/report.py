@@ -174,15 +174,24 @@ def to_markdown(pdf: pd.DataFrame) -> str:
 
 
 def _git_sha() -> str:
-    """Short sha of the checkout's HEAD, or ``unknown`` outside git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=RESULTS_DIR.parent, capture_output=True, text=True,
+    """Short sha of the checkout's HEAD, with ``+dirty`` appended when
+    ``src/`` has uncommitted changes (HEAD alone would not be the code
+    that made the table), or ``unknown`` outside git."""
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=RESULTS_DIR.parent, capture_output=True, text=True
         )
+
+    try:
+        head = git("rev-parse", "--short", "HEAD")
+        if head.returncode != 0:
+            return "unknown"
+        status = git("status", "--porcelain", "--", "src")
     except OSError:
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 else "unknown"
+    sha = head.stdout.strip()
+    return f"{sha}+dirty" if status.stdout.strip() else sha
 
 
 def run_table(spark: SparkSession, name: str, scale: str = "full") -> pd.DataFrame:

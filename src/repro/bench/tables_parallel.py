@@ -392,14 +392,13 @@ def spark_throughput(
     rate_s: int = 1,
     dist: str = "uniform",
     w_s: int | None = None,
-    seed: int = 1,
 ) -> float:
     """Wall-clock tuples/s of the Spark range-partitioned PIM join."""
     from repro.join.spark_join import parallel_band_join
     from repro.join.streams import diff_for_match_rate_empirical
 
     w_s = w_s or w
-    seq = gen_stream(n_tuples, seed=seed, rate_r=rate_r, rate_s=rate_s, dist=dist)
+    seq = gen_stream(n_tuples, seed=1, rate_r=rate_r, rate_s=rate_s, dist=dist)
     if dist == "uniform":
         diff = diff_for_match_rate(2.0, max(w, w_s))
     else:

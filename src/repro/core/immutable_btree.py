@@ -10,7 +10,8 @@ IM-Tree rebuild it wholesale at each merge.
 Level layout: ``levels[d]`` holds one key per node of depth d+1 (the max
 key of that node's subtree); node ``p`` at depth d>=1 owns the slice
 ``levels[d][p*f : (p+1)*f]``. ``levels[-1]`` holds the max key of each
-leaf chunk; leaf chunk ``p`` is ``keys[p*leaf_size : (p+1)*leaf_size]``.
+leaf chunk; leaf chunk ``p`` is ``keys[p*f : (p+1)*f]``, so a leaf chunk
+holds ``fanout`` elements, like an inner node.
 
 Storage is numpy (canonical, used by merge/build vectorisation) plus
 plain-list mirrors of the elements for the hot path: a range search
@@ -43,16 +44,11 @@ class ImmutableBTree:
     """Read-only B+-Tree over a key-sorted ``(keys, poss)`` element array."""
 
     def __init__(
-        self,
-        keys: np.ndarray,
-        poss: np.ndarray,
-        fanout: int = 32,
-        leaf_size: int | None = None,
+        self, keys: np.ndarray, poss: np.ndarray, fanout: int = 32
     ) -> None:
         if fanout < 2:
             raise ValueError("fanout must be >= 2")
         self.fanout = fanout
-        self.leaf_size = leaf_size or fanout
         self.keys = np.ascontiguousarray(keys, dtype=np.int64)
         self.poss = np.ascontiguousarray(poss, dtype=np.int64)
         if len(self.keys) != len(self.poss):
@@ -69,30 +65,22 @@ class ImmutableBTree:
         self.bytes_loaded = 0
 
     @classmethod
-    def empty(cls, fanout: int = 32, leaf_size: int | None = None) -> "ImmutableBTree":
-        return cls(
-            np.empty(0, np.int64), np.empty(0, np.int64), fanout, leaf_size
-        )
+    def empty(cls) -> "ImmutableBTree":
+        return cls(np.empty(0, np.int64), np.empty(0, np.int64))
 
     def _build_levels(self) -> list[np.ndarray]:
         n = len(self.keys)
         if n == 0:
             return []
         # Leaf-max level: the largest key of each leaf chunk (Alg. 3's
-        # per-leaf separator assignment, vectorised).
-        idx = np.minimum(
-            np.arange(self.leaf_size - 1, n + self.leaf_size - 1, self.leaf_size),
-            n - 1,
-        )
-        arr = self.keys[idx]
-        levels = [arr]
-        while len(arr) > self.fanout:
+        # per-leaf separator assignment, vectorised); each inner level
+        # takes the largest key of every ``fanout`` entries below it.
+        f = self.fanout
+        arr = self.keys
+        levels = []
+        while not levels or len(arr) > f:
             m = len(arr)
-            tail = np.minimum(
-                np.arange(self.fanout - 1, m + self.fanout - 1, self.fanout),
-                m - 1,
-            )
-            arr = arr[tail]
+            arr = arr[np.minimum(np.arange(f - 1, m + f - 1, f), m - 1)]
             levels.append(arr)
         levels.reverse()  # levels[0] = root key array
         return levels
@@ -119,7 +107,7 @@ class ImmutableBTree:
 
     @property
     def n_leaf_chunks(self) -> int:
-        return max(1, -(-len(self.keys) // self.leaf_size))
+        return max(1, -(-len(self.keys) // self.fanout))
 
     def memory_bytes(self) -> int:
         """Element storage plus pointer-free inner key arrays (4 B/key)."""

@@ -50,9 +50,11 @@ class PIMTree:
     """Two-stage partitioned sliding-window index.
 
     Parameters mirror the paper: ``window`` is w, ``merge_ratio`` is m
-    (0 < m <= 1), ``insertion_depth`` is D_I (root = depth 0),
-    ``fanout_mut``/``fanout_imm`` are f_b and f_ib. While T_S is empty
-    (before the first merge) there is a single sub-index.
+    (0 < m <= 1), ``insertion_depth`` is D_I (root = depth 0). The
+    sub-indexes are ``BPlusTree``s at their default fan-out (f_b = 16)
+    and T_S an ``ImmutableBTree`` at its default (f_ib = 32), the paper's
+    values. While T_S is empty (before the first merge) there is a
+    single sub-index.
     """
 
     def __init__(
@@ -60,8 +62,6 @@ class PIMTree:
         window: int,
         merge_ratio: float = 0.125,
         insertion_depth: int = 2,
-        fanout_mut: int = 16,
-        fanout_imm: int = 32,
         use_locks: bool = True,
     ) -> None:
         if not (0 < merge_ratio <= 1):
@@ -75,9 +75,7 @@ class PIMTree:
         self.window = window
         self.merge_ratio = merge_ratio
         self.insertion_depth = insertion_depth
-        self.fanout_mut = fanout_mut
-        self.fanout_imm = fanout_imm
-        self.t_s = ImmutableBTree.empty(fanout_imm)
+        self.t_s = ImmutableBTree.empty()
         self._reset_subindexes()
         self.merge_threshold = max(1, int(merge_ratio * window))
         self.n_merges = 0
@@ -86,9 +84,7 @@ class PIMTree:
     # -- structure maintenance -------------------------------------------
     def _reset_subindexes(self) -> None:
         n = self.t_s.n_nodes_at_depth(self.insertion_depth) if len(self.t_s) else 1
-        self.subindexes: list[BPlusTree] = [
-            BPlusTree(self.fanout_mut) for _ in range(n)
-        ]
+        self.subindexes: list[BPlusTree] = [BPlusTree() for _ in range(n)]
         # Trees without concurrency control never lock, so they build no
         # locks at each merge.
         self.locks = (
@@ -128,7 +124,7 @@ class PIMTree:
             ik = ip = np.empty(0, np.int64)
         live = src.t_s.poss >= min_pos
         keys, poss = merge_sorted(src.t_s.keys[live], src.t_s.poss[live], ik, ip)
-        self.t_s = ImmutableBTree(keys, poss, self.fanout_imm)
+        self.t_s = ImmutableBTree(keys, poss)
         self._reset_subindexes()
         self.n_merges = src.n_merges + 1
         return len(keys)
@@ -192,8 +188,6 @@ class PIMTree:
             old.window,
             old.merge_ratio,
             old.insertion_depth,
-            old.fanout_mut,
-            old.fanout_imm,
             use_locks=old.use_locks,
         )
         new._rebuild(old, min_pos)

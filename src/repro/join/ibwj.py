@@ -24,8 +24,9 @@ import pandas as pd
 from repro.baselines.bw_tree import BwTreeLike
 from repro.baselines.chained_index import ChainedIndex
 from repro.baselines.nlwj import NLWJWindow
+from repro.core.bplus_tree import BPlusTree
 from repro.core.pim_tree import PIMTree
-from repro.join.streams import gpos_by_spos
+from repro.join.streams import arrival_columns, gpos_by_spos
 
 
 @dataclass
@@ -40,9 +41,6 @@ class StepCosts:
     n_tuples: int = 0
     n_matches: int = 0
     n_merges: int = 0
-
-    def total(self) -> float:
-        return self.search + self.scan + self.insert + self.delete + self.merge
 
     def per_tuple_us(self) -> dict[str, float]:
         n = max(1, self.n_tuples)
@@ -78,10 +76,8 @@ class _Adapter:
 
 
 class BPlusAdapter(_Adapter):
-    def __init__(self, window: int, fanout: int = 16) -> None:
-        from repro.core.bplus_tree import BPlusTree
-
-        self.tree = BPlusTree(fanout)
+    def __init__(self, window: int) -> None:
+        self.tree = BPlusTree()
         self.window = window
 
     def insert(self, key: int, pos: int) -> None:
@@ -125,8 +121,8 @@ class ChainAdapter(_Adapter):
 
 
 class BwAdapter(_Adapter):
-    def __init__(self, window: int, page_capacity: int = 64) -> None:
-        self.idx = BwTreeLike(page_capacity=page_capacity)
+    def __init__(self, window: int) -> None:
+        self.idx = BwTreeLike()
 
     def insert(self, key: int, pos: int) -> None:
         self.idx.insert(key, pos)
@@ -281,14 +277,7 @@ def run_ibwj(
     stay exact: every probe filters by ``min_pos``, and
     ``BPlusTree.delete`` returns False on a missing element.
     """
-    # Plain lists: per-tuple numpy scalar extraction would add ~1 us of
-    # driver overhead per tuple and compress the index-cost differences
-    # this harness exists to measure.
-    sides = seq["side"].to_numpy().tolist()
-    sposs = seq["spos"].to_numpy().tolist()
-    xs = seq["x"].to_numpy().tolist()
-    opps = seq["opp_seen"].to_numpy().tolist()
-    gposs = seq["gpos"].to_numpy().tolist()
+    sides, sposs, xs, opps, gposs = arrival_columns(seq)
     owners = None if owner is None else np.asarray(owner, bool).tolist()
     n = len(seq)
 

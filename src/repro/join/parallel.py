@@ -12,6 +12,10 @@ what it demonstrates, under genuine thread interleaving, is the
 results regardless of out-of-order indexing, and results propagated in
 arrival order.
 
+Only the nonblocking merge is implemented here; the blocking merge that
+Fig. 13c compares it with is modelled by the concurrency simulator
+(``SimConfig(nonblocking_merge=False)``).
+
 Key mechanisms mirrored from the paper:
 
 - work queue entries carry AVAILABLE/ACTIVE/COMPLETED states; tasks are
@@ -34,7 +38,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.pim_tree import PIMTree
-from repro.join.streams import gpos_by_spos
+from repro.join.streams import arrival_columns, gpos_by_spos
 
 AVAILABLE, ACTIVE, COMPLETED = 0, 1, 2
 
@@ -101,13 +105,11 @@ class ParallelIBWJ:
         merge_ratio: float = 1.0,
         insertion_depth: int = 2,
         self_join: bool = False,
-        blocking_merge: bool = False,
     ) -> None:
         self.seq = seq
         self.diff = diff
         self.n_threads = n_threads
         self.task_size = task_size
-        self.blocking_merge = blocking_merge
         n = len(seq)
         self.win = {"R": w_r, "S": w_s}
         # Stream whose window a tuple of each side joins with; for the
@@ -153,8 +155,6 @@ class ParallelIBWJ:
         self.prop_mutex = threading.Lock()
         self.results: list[list[tuple[int, int]] | None] = [None] * n
         self.out: list[tuple[int, int]] = []
-        self.merge_gate = threading.Event()  # cleared while a merge blocks assignment
-        self.merge_gate.set()
         self.merge_mutex = threading.Lock()
         self.n_merges = 0
         self.scan_len = [0] * n  # per tuple, one writer each
@@ -164,7 +164,6 @@ class ParallelIBWJ:
 
     # -- task acquisition -------------------------------------------------
     def _acquire(self) -> tuple[int, int] | None:
-        self.merge_gate.wait()
         with self.queue_mutex:
             if self.next_task >= len(self.status):
                 return None
@@ -240,26 +239,14 @@ class ParallelIBWJ:
         return int(self.cnt_before[side][head]) - st.window + 1
 
     def _maybe_merge(self, st: _StreamState, side: str) -> None:
-        """One merging thread per system (merge_mutex try-lock)."""
+        """The §4.2 nonblocking merge; one merging thread per system
+        (merge_mutex try-lock)."""
         if not self.merge_mutex.acquire(blocking=False):
             return
         try:
             min_pos = self._safe_evict_bound(st, side)
-            if self.blocking_merge:
-                # Blocking variant (Fig. 13c): assignment gated and the
-                # index ref locked for the whole rebuild.
-                self.merge_gate.clear()
-                try:
-                    with st.index_swap:
-                        if not st.index.needs_merge():
-                            return
-                        st.index = PIMTree.merged_copy(st.index, min_pos)
-                        self.n_merges += 1
-                finally:
-                    self.merge_gate.set()
-                return
-            # Nonblocking: phase 1 builds from the (now frozen) old index
-            # while other threads keep joining without index updates.
+            # Phase 1 builds from the (now frozen) old index while other
+            # threads keep joining without index updates.
             with st.index_swap:
                 if not st.index.needs_merge() or st.merging:
                     return
@@ -324,16 +311,11 @@ class ParallelIBWJ:
                 errors.append(e)
 
         t0 = time.perf_counter()
-        # Plain lists, like run_ibwj's: workers read these several times
-        # per tuple, and a numpy scalar read plus int() costs several
-        # times a list read. Built here, inside the timed region, because
-        # the conversion is part of the join's cost.
-        seq = self.seq
-        self.sides = seq["side"].to_numpy().tolist()
-        self.sposs = seq["spos"].to_numpy().tolist()
-        self.xs = seq["x"].to_numpy().tolist()
-        self.opps = seq["opp_seen"].to_numpy().tolist()
-        self.gposs = seq["gpos"].to_numpy().tolist()
+        # Built here, inside the timed region, because the conversion is
+        # part of the join's cost.
+        self.sides, self.sposs, self.xs, self.opps, self.gposs = (
+            arrival_columns(self.seq)
+        )
         threads = [
             threading.Thread(target=worker, daemon=True)
             for _ in range(self.n_threads)

@@ -35,18 +35,18 @@ def diff_for_match_rate(
 
 
 def diff_for_match_rate_empirical(
-    xs: np.ndarray, window: int, match_rate: float = 2.0, n_probe: int = 2000
+    xs: np.ndarray, window: int, match_rate: float = 2.0
 ) -> int:
     """Band half-width achieving ~``match_rate`` expected matches per
     probe for an *arbitrary* key distribution (the paper adjusts the band
     predicate per distribution to keep sigma_s fixed — §5, Fig. 12b).
 
-    Binary-searches diff so that, over sampled probe keys against sampled
-    window keys, the mean match count hits the target.
+    Binary-searches diff so that, over 2000 sampled probe keys against
+    16000 sampled window keys, the mean match count hits the target.
     """
     rng = np.random.default_rng(0)
-    probes = np.sort(rng.choice(xs, size=min(n_probe, len(xs)), replace=False))
-    sample = np.sort(rng.choice(xs, size=min(8 * n_probe, len(xs)), replace=False))
+    probes = np.sort(rng.choice(xs, size=min(2000, len(xs)), replace=False))
+    sample = np.sort(rng.choice(xs, size=min(16000, len(xs)), replace=False))
 
     def matches(diff: int) -> float:
         lo = np.searchsorted(sample, probes - diff, "left")
@@ -118,6 +118,20 @@ def gen_stream(
             "x": x.astype(np.int64),
             "opp_seen": opp_seen.astype(np.int64),
         }
+    )
+
+
+def arrival_columns(
+    seq: pd.DataFrame,
+) -> tuple[list[str], list[int], list[int], list[int], list[int]]:
+    """``seq``'s ``side``, ``spos``, ``x``, ``opp_seen`` and ``gpos``
+    columns as plain lists, for the join drivers' per-tuple loops: a
+    numpy scalar read costs several times a list read, which would add
+    ~1 us of driver overhead per tuple and compress the index-cost
+    differences the drivers exist to measure."""
+    return tuple(
+        seq[c].to_numpy().tolist()
+        for c in ("side", "spos", "x", "opp_seen", "gpos")
     )
 
 

@@ -191,7 +191,7 @@ def test_measure_mode_collects_step_costs():
     c = res.costs
     assert c.search > 0 and c.scan >= 0 and c.insert > 0
     assert c.merge > 0 and c.n_merges > 0
-    assert c.total() <= res.elapsed * 1.2
+    assert c.search + c.scan + c.insert + c.delete + c.merge <= res.elapsed * 1.2
     per = c.per_tuple_us()
     assert set(per) == {"search", "scan", "insert", "delete", "merge"}
 

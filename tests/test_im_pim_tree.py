@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.bplus_tree import BPlusTree
 from repro.core.pim_tree import PIMTree, merge_sorted
 
 
@@ -215,13 +216,23 @@ def test_pim_merged_copy_preserves_old():
 
 def test_pim_merged_copy_drops_expired():
     """Expiry filtering applies to T_S only — T_I holds the newest m*w <= w
-    tuples, which by construction cannot have expired (paper §3.3.1)."""
+    tuples, which by construction cannot have expired (paper §3.3.1).
+    Before and after a merge, and in a merged copy, every sub-index is a
+    B+-Tree at the paper's f_b = 16 and T_S has f_ib = 32."""
+
+    def fanouts(tree):
+        subs = {(type(b), b.fanout) for b in tree.subindexes}
+        return subs, tree.t_s.fanout, tree.n_subindexes > 1
+
     w = 512
     t = PIMTree(w, 1.0, 2)
     for p in range(1, 601):
         t.insert(p * 13 % 1000, p)
+    assert fanouts(t) == ({(BPlusTree, 16)}, 32, False)
     t.merge(min_pos=1)  # everything now lives in T_S
+    assert fanouts(t) == ({(BPlusTree, 16)}, 32, True)
     new = PIMTree.merged_copy(t, min_pos=101)
+    assert fanouts(new) == ({(BPlusTree, 16)}, 32, True)
     got = sorted(p for _, p in new.search_range(0, 1000))
     assert got == list(range(101, 601))
 

@@ -7,17 +7,17 @@ from hypothesis import strategies as st
 from repro.core.immutable_btree import _WALK, ImmutableBTree
 
 
-def _make(n, fanout=8, leaf_size=8, seed=0, key_space=10**6):
+def _make(n, fanout=8, seed=0, key_space=10**6):
     rng = np.random.default_rng(seed)
     keys = np.sort(rng.integers(0, key_space, n))
     poss = rng.permutation(n) + 1
-    return ImmutableBTree(keys, poss, fanout, leaf_size), keys, poss
+    return ImmutableBTree(keys, poss, fanout), keys, poss
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 1000, 5000])
 @pytest.mark.parametrize("fanout", [4, 8, 32])
 def test_build_and_len(n, fanout):
-    t, keys, _ = _make(n, fanout, fanout)
+    t, keys, _ = _make(n, fanout)
     assert len(t) == n
     if n:
         assert t.height >= 1
@@ -39,7 +39,7 @@ def test_rejects_mismatched_lengths():
 @pytest.mark.parametrize("fanout", [4, 8, 32])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_find_start_equals_searchsorted(fanout, seed):
-    t, keys, _ = _make(2000, fanout, fanout, seed)
+    t, keys, _ = _make(2000, fanout, seed)
     rng = np.random.default_rng(seed + 10)
     probes = np.concatenate(
         [rng.integers(-10, 10**6 + 10, 200), keys[rng.integers(0, 2000, 50)]]
@@ -50,7 +50,7 @@ def test_find_start_equals_searchsorted(fanout, seed):
 
 @pytest.mark.parametrize("n", [1, 100, 4096])
 def test_search_range_matches_mask(n):
-    t, keys, poss = _make(n, 8, 8, seed=3)
+    t, keys, poss = _make(n, 8, seed=3)
     rng = np.random.default_rng(42)
     for _ in range(50):
         lo = int(rng.integers(-5, 10**6))
@@ -62,7 +62,7 @@ def test_search_range_matches_mask(n):
 def test_search_range_min_pos_filter():
     keys = np.arange(100)
     poss = np.arange(1, 101)
-    t = ImmutableBTree(keys, poss, 8, 8)
+    t = ImmutableBTree(keys, poss, 8)
     got = t.search_range(0, 99, min_pos=51)
     assert min(p for _, p in got) == 51 and len(got) == 50
 
@@ -79,7 +79,7 @@ def test_empty_tree():
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_route_consistent_with_partition_bounds(depth):
-    t, keys, _ = _make(5000, 8, 8, seed=4)
+    t, keys, _ = _make(5000, 8, seed=4)
     bounds = t.partition_bounds(depth)
     n_nodes = t.n_nodes_at_depth(depth)
     assert len(bounds) == n_nodes
@@ -92,7 +92,7 @@ def test_route_consistent_with_partition_bounds(depth):
 
 def test_route_partitions_cover_all_elements():
     """Every element routed to node i at depth d lies within bounds[i]."""
-    t, keys, _ = _make(3000, 8, 8, seed=5)
+    t, keys, _ = _make(3000, 8, seed=5)
     for depth in (1, 2):
         bounds = t.partition_bounds(depth)
         for k in keys[::37]:
@@ -101,20 +101,20 @@ def test_route_partitions_cover_all_elements():
 
 
 def test_n_nodes_at_depth_monotone():
-    t, _, _ = _make(10000, 8, 8)
+    t, _, _ = _make(10000, 8)
     counts = [t.n_nodes_at_depth(d) for d in range(0, t.height)]
     assert counts[0] == 1
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
 def test_higher_fanout_gives_shallower_tree():
-    t8, _, _ = _make(20000, 8, 8)
-    t32, _, _ = _make(20000, 32, 32)
+    t8, _, _ = _make(20000, 8)
+    t32, _, _ = _make(20000, 32)
     assert t32.height < t8.height
 
 
 def test_memory_bytes_accounts_elements_and_inner():
-    t, _, _ = _make(4096, 8, 8)
+    t, _, _ = _make(4096, 8)
     assert t.memory_bytes() > 4096 * 8
     assert t.memory_bytes() < 4096 * 8 * 2
 
@@ -127,7 +127,7 @@ def test_scan_band_lengths_around_walk_bound(length, first):
     live elements and charge 8 B per element in the band."""
     keys = np.arange(0, 200, 2)
     poss = np.arange(1, 101)
-    t = ImmutableBTree(keys, poss, 4, 4)
+    t = ImmutableBTree(keys, poss, 4)
     lo = 2 * first
     hi = lo + 2 * length - 1
     in_band = [(k, p) for k, p in zip(keys.tolist(), poss.tolist()) if lo <= k <= hi]
@@ -140,7 +140,7 @@ def test_scan_band_lengths_around_walk_bound(length, first):
 def test_duplicate_keys_all_returned():
     keys = np.array([5] * 50 + [7] * 30)
     poss = np.arange(1, 81)
-    t = ImmutableBTree(np.sort(keys), poss, 4, 4)
+    t = ImmutableBTree(np.sort(keys), poss, 4)
     assert len(t.search_range(5, 5)) == 50
     assert len(t.search_range(5, 7)) == 80
 
@@ -154,7 +154,7 @@ def test_duplicate_keys_all_returned():
 def test_property_search_range(data, lo, width):
     keys = np.sort(np.asarray(data, np.int64))
     poss = np.arange(1, len(keys) + 1)
-    t = ImmutableBTree(keys, poss, 4, 4)
+    t = ImmutableBTree(keys, poss, 4)
     hi = lo + width
     got = t.search_range(lo, hi)
     assert [k for k, _ in got] == [x for x in keys.tolist() if lo <= x <= hi]

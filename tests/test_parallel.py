@@ -59,16 +59,13 @@ def test_task_size_sweep(task_size):
     _check(seq, w, w, diff, n_threads=4, task_size=task_size)
 
 
-@pytest.mark.parametrize("blocking", [False, True])
 @pytest.mark.parametrize("merge_ratio", [0.25, 1.0])
-def test_merge_variants(blocking, merge_ratio):
+def test_merge_variants(merge_ratio):
     w = 128
     seq = gen_stream(3000, seed=4)
     diff = diff_for_match_rate(2.0, w)
     res = _check(
-        seq, w, w, diff,
-        n_threads=4, task_size=4,
-        merge_ratio=merge_ratio, blocking_merge=blocking,
+        seq, w, w, diff, n_threads=4, task_size=4, merge_ratio=merge_ratio
     )
     assert res.n_merges > 0  # the merge path was actually exercised
 
@@ -183,14 +180,13 @@ def test_throughput_and_counts_reported():
     n_threads=st.integers(1, 8),
     task_size=st.integers(1, 8),
     merge_ratio=st.sampled_from([1 / 16, 1 / 4, 1.0]),
-    blocking=st.booleans(),
     self_join=st.booleans(),
     d_i=st.integers(1, 3),
     w_r=st.sampled_from([64, 128, 256]),
     w_s=st.sampled_from([64, 128, 256]),
 )
 def test_stress_fine_interleavings_match_oracle(
-    n, seed, n_threads, task_size, merge_ratio, blocking, self_join, d_i, w_r, w_s
+    n, seed, n_threads, task_size, merge_ratio, self_join, d_i, w_r, w_s
 ):
     """Thread switches every microsecond, at windows small enough that
     merges fire many times, across the whole configuration space."""
@@ -205,13 +201,10 @@ def test_stress_fine_interleavings_match_oracle(
             seq, w_r, w_s, diff,
             self_join=self_join, n_threads=n_threads, task_size=task_size,
             merge_ratio=merge_ratio, insertion_depth=d_i,
-            blocking_merge=blocking,
         )
     finally:
         sys.setswitchinterval(interval)
     assert res.n_merges > 0
-    if blocking:
-        assert res.deferred_inserts == 0
     if n_threads == 1:
         assert res.scanned_positions == res.deferred_inserts == 0
 
@@ -235,17 +228,11 @@ def test_run_time_is_linear_in_stream_length():
 
 def test_counters_zero_without_concurrency():
     """One thread never leaves the edge behind a window head and never
-    inserts during a merge; a blocking merge never defers an insert."""
+    inserts during a merge."""
     w = 64
     seq = gen_stream(1500, seed=13)
     diff = diff_for_match_rate(2.0, w)
     res = ParallelIBWJ(seq, w, w, diff, n_threads=1, merge_ratio=0.25).run()
     assert res.n_merges > 0
     assert res.scanned_positions == 0
-    assert res.deferred_inserts == 0
-    res = _check(
-        seq, w, w, diff, n_threads=4, task_size=2, merge_ratio=0.25,
-        blocking_merge=True,
-    )
-    assert res.n_merges > 0
     assert res.deferred_inserts == 0

@@ -5,6 +5,7 @@ import ast
 import inspect
 import os
 import re
+import subprocess
 
 import pandas as pd
 
@@ -79,9 +80,35 @@ def test_run_table_writes_results_only_at_full_scale(monkeypatch, tmp_path, caps
     footer = text.rstrip("\n").splitlines()[-1]
     cores = len(os.sched_getaffinity(0))
     assert re.fullmatch(
-        rf"_generated in \d+\.\ds on {cores} cores at ([0-9a-f]{{4,}}|unknown)_",
+        rf"_generated in \d+\.\ds on {cores} cores at"
+        rf" ([0-9a-f]{{4,}}(\+dirty)?|unknown)_",
         footer,
     ), footer
     monkeypatch.setattr(report, "RESULTS_DIR", tmp_path / "no-checkout" / "results")
     report.run_table(None, name, "smoke")
     assert capsys.readouterr().out.rstrip("\n").endswith(" at unknown_")
+
+
+def test_git_sha_marks_uncommitted_src(monkeypatch, tmp_path):
+    """The footer sha gains ``+dirty`` once ``src/`` differs from HEAD;
+    changes outside ``src/`` (a results file) leave it clean."""
+
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text("x = 1\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "m")
+    monkeypatch.setattr(report, "RESULTS_DIR", tmp_path / "results")
+    sha = report._git_sha()
+    assert re.fullmatch(r"[0-9a-f]{4,}", sha), sha
+    (tmp_path / "results").mkdir()
+    (tmp_path / "results" / "t.md").write_text("table\n")
+    assert report._git_sha() == sha
+    (tmp_path / "src" / "m.py").write_text("x = 2\n")
+    assert report._git_sha() == f"{sha}+dirty"
