@@ -94,21 +94,6 @@ class ImmutableBTree:
         """Number of inner levels (root at depth 0) plus the leaf level."""
         return len(self.levels) + (1 if len(self.keys) else 0)
 
-    def n_nodes_at_depth(self, depth: int) -> int:
-        """Number of inner nodes at ``depth`` (root = depth 0). Past the
-        deepest inner level, returns the number of leaf chunks."""
-        if not self.levels:
-            return 1
-        if depth <= 0:
-            return 1
-        if depth <= len(self.levels):
-            return len(self.levels[depth - 1])
-        return self.n_leaf_chunks
-
-    @property
-    def n_leaf_chunks(self) -> int:
-        return max(1, -(-len(self.keys) // self.fanout))
-
     def memory_bytes(self) -> int:
         """Element storage plus pointer-free inner key arrays (4 B/key)."""
         inner = sum(len(a) for a in self.levels) * (_ELEM_BYTES // 2)
@@ -199,7 +184,9 @@ class ImmutableBTree:
     def partition_bounds(self, depth: int) -> np.ndarray:
         """Upper key bounds of the depth-``depth`` nodes: sub-index ``i``
         covers keys in ``(bounds[i-1], bounds[i]]`` (last bound is +inf in
-        spirit — routing clamps to the rightmost node)."""
+        spirit — routing clamps to the rightmost node). ``depth`` is
+        clamped like ``route``'s, so past the deepest inner level these
+        are the leaf chunks' bounds."""
         depth = min(depth, len(self.levels))
         if depth == 0 or not self.levels:
             return np.empty(0, np.int64)

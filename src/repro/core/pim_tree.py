@@ -83,7 +83,16 @@ class PIMTree:
 
     # -- structure maintenance -------------------------------------------
     def _reset_subindexes(self) -> None:
-        n = self.t_s.n_nodes_at_depth(self.insertion_depth) if len(self.t_s) else 1
+        # Upper bounds of the depth-D_I nodes but the last: routing a key
+        # is one binary search over these, the same comparison sequence
+        # as the T_S descent to D_I (``ImmutableBTree.route``) at
+        # D_I*log2(f_ib) comparisons either way. Dropping the last bound
+        # routes keys above every node to the rightmost sub-index, so
+        # there is one sub-index per bound kept, plus that one.
+        self._bounds: list[int] = self.t_s.partition_bounds(
+            self.insertion_depth
+        ).tolist()[:-1]
+        n = len(self._bounds) + 1
         self.subindexes: list[BPlusTree] = [BPlusTree() for _ in range(n)]
         # Trees without concurrency control never lock, so they build no
         # locks at each merge.
@@ -97,14 +106,6 @@ class PIMTree:
         # itself, and the probe's emptiness check reads a list slot
         # instead of calling BPlusTree.__len__.
         self.insert_counts: list[int] = [0] * n
-        # Upper bounds of the depth-D_I nodes but the last: routing a key
-        # is one binary search over these, the same comparison sequence
-        # as the T_S descent to D_I (``ImmutableBTree.route``) at
-        # D_I*log2(f_ib) comparisons either way. Dropping the last bound
-        # routes keys above every node to the rightmost sub-index.
-        self._bounds: list[int] = self.t_s.partition_bounds(
-            self.insertion_depth
-        ).tolist()[:-1]
 
     def _rebuild(self, src: "PIMTree", min_pos: int) -> int:
         """Make T_S the live T_S elements of ``src`` merged with all of

@@ -26,7 +26,7 @@ from repro.baselines.chained_index import ChainedIndex
 from repro.baselines.nlwj import NLWJWindow
 from repro.core.bplus_tree import BPlusTree
 from repro.core.pim_tree import PIMTree
-from repro.join.streams import arrival_columns, gpos_by_spos
+from repro.join.streams import arrival_columns, tuples_by_spos
 
 
 @dataclass
@@ -78,7 +78,6 @@ class _Adapter:
 class BPlusAdapter(_Adapter):
     def __init__(self, window: int) -> None:
         self.tree = BPlusTree()
-        self.window = window
 
     def insert(self, key: int, pos: int) -> None:
         self.tree.insert(key, pos)
@@ -105,7 +104,6 @@ class ChainAdapter(_Adapter):
         self, window: int, chain_length: int = 2, immutable_archive: bool = False
     ) -> None:
         self.idx = ChainedIndex(window, chain_length, immutable_archive)
-        self.window = window
 
     def insert(self, key: int, pos: int) -> None:
         self.idx.insert(key, pos)
@@ -167,7 +165,6 @@ class PIMAdapter(_Adapter):
         self.idx = PIMTree(
             window, merge_ratio, insertion_depth, use_locks=use_locks
         )
-        self.window = window
 
     def insert(self, key: int, pos: int) -> None:
         self.idx.insert(key, pos)
@@ -274,7 +271,8 @@ def run_ibwj(
     only: a Spark bucket's band-replica rows probe but never insert.
     With a delete-based adapter this leaves stale entries, because a
     bucket sees only some spos and retires only on owner rows. Results
-    stay exact: every probe filters by ``min_pos``, and
+    stay exact: every probe filters by ``min_pos``, and retiring a spos
+    the bucket does not own is a no-op, since it was never inserted and
     ``BPlusTree.delete`` returns False on a missing element.
     """
     sides, sposs, xs, opps, gposs = arrival_columns(seq)
@@ -289,12 +287,9 @@ def run_ibwj(
     win = {"R": w_r, "S": w_s}
     own = {"R": idx_r, "S": idx_s}
     opp = {"R": idx_s, "S": idx_r}
-    # gpos lookup by (side, spos) for pair materialisation, and the key
-    # ring used to retire expired tuples from delete-based indexes.
-    gpos_of = gpos_by_spos(seq) if collect_pairs else None
-    keyring: dict[str, list[int]] = {"R": [0] * w_r, "S": [0] * w_s}
-    if self_join:
-        keyring["S"] = keyring["R"]
+    # Key by (side, spos) to retire expired tuples from delete-based
+    # indexes, gpos by (side, spos) for pair materialisation.
+    key_of, gpos_of = tuples_by_spos(seq)
 
     pairs: list[tuple[int, int]] | None = [] if collect_pairs else None
     costs = StepCosts()
@@ -338,7 +333,7 @@ def run_ibwj(
         # Step 2 — retire the tuple that falls out of this window.
         if spos > w_own:
             epos = spos - w_own
-            ekey = keyring[side][(epos - 1) % w_own]
+            ekey = key_of[side][epos]
             if measure:
                 t0 = time.perf_counter()
                 own[side].retire(ekey, epos)
@@ -353,7 +348,6 @@ def run_ibwj(
         else:
             own[side].insert(x, spos)
         own[side].maintain(spos - w_own + 1, costs, measure)
-        keyring[side][(spos - 1) % w_own] = x
 
     elapsed = time.perf_counter() - t_start
     if gc_was_enabled:

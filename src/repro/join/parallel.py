@@ -18,13 +18,16 @@ Fig. 13c compares it with is modelled by the concurrency simulator
 
 Key mechanisms mirrored from the paper:
 
-- work queue entries carry AVAILABLE/ACTIVE/COMPLETED states; tasks are
-  ``task_size`` consecutive tuples;
+- the work queue hands out tasks of ``task_size`` consecutive tuples by
+  index arithmetic alone. Of the paper's AVAILABLE/ACTIVE/COMPLETED entry
+  states only completion is tracked, because result propagation is the
+  only reader of an entry's state;
 - each tuple's opposite window is fixed by its arrival: it ends at
   t_l = opposite tuples seen and starts at t_e = t_l - w + 1;
 - per stream, an *edge* position marks the earliest non-indexed tuple;
   lookups combine an index probe (results filtered to pos < edge
-  snapshot) with a linear window scan over [edge snapshot, t_l];
+  snapshot) with a linear window scan over [edge snapshot, t_l], which
+  reads keys from the stream's window (``streams.tuples_by_spos``);
 - the edge advances under a try-lock; result propagation drains the
   queue head under another try-lock, preserving arrival order.
 """
@@ -38,20 +41,17 @@ import numpy as np
 import pandas as pd
 
 from repro.core.pim_tree import PIMTree
-from repro.join.streams import arrival_columns, gpos_by_spos
-
-AVAILABLE, ACTIVE, COMPLETED = 0, 1, 2
+from repro.join.streams import arrival_columns, tuples_by_spos
 
 
 class _StreamState:
-    """Shared per-stream state: window lists, index, edge tuple."""
+    """Shared per-stream state: index, indexed flags, edge tuple."""
 
     def __init__(self, window: int, n_max: int, merge_ratio: float, d_i: int) -> None:
         self.window = window
-        self.keys = [0] * (n_max + 1)  # key by spos
-        self.indexed = [False] * (n_max + 1)  # spos -> indexed?
+        # spos -> indexed? Slot n_max + 1 is never set: it stops the edge.
+        self.indexed = [False] * (n_max + 2)
         self.index = PIMTree(window, merge_ratio, d_i)
-        self.count = 0  # tuples admitted (spos assigned)
         self.edge = 1  # earliest non-indexed spos
         self.edge_mutex = threading.Lock()
         self.index_swap = threading.Lock()  # guards index ref + merging flag
@@ -65,7 +65,7 @@ class _StreamState:
             return
         try:
             e = self.edge
-            while e <= self.count and self.indexed[e]:
+            while self.indexed[e]:
                 e += 1
             self.edge = e
         finally:
@@ -136,9 +136,9 @@ class ParallelIBWJ:
         }
         if self_join:
             self.cnt_before["S"] = self.cnt_before["R"]
-        # gpos_of[side][spos] = gpos of that ``side``-stream tuple: result
-        # pairs name the earlier tuple by spos, propagation by gpos.
-        self.gpos_of = gpos_by_spos(seq)
+        # Key and gpos by (side, spos): the window scan reads keys, and
+        # propagation names the earlier tuple of a result pair by gpos.
+        self.key_of, self.gpos_of = tuples_by_spos(seq)
         # Per-tuple inputs, filled by run(): side, spos, key, opposite
         # tuples seen (t_l) and gpos, indexed by queue position.
         self.sides: list[str] = []
@@ -147,8 +147,9 @@ class ParallelIBWJ:
         self.opps: list[int] = []
         self.gposs: list[int] = []
         self.ran = False
-        # Work queue: one slot per tuple; guarded by queue_mutex.
-        self.status = [AVAILABLE] * n
+        # Work queue: tuples [0, next_task) are claimed; guarded by
+        # queue_mutex. done[t] is set once tuple t's results are stored.
+        self.done = [False] * n
         self.next_task = 0
         self.queue_mutex = threading.Lock()
         self.head = 0  # earliest unpropagated tuple
@@ -165,17 +166,11 @@ class ParallelIBWJ:
     # -- task acquisition -------------------------------------------------
     def _acquire(self) -> tuple[int, int] | None:
         with self.queue_mutex:
-            if self.next_task >= len(self.status):
-                return None
             a = self.next_task
-            b = min(a + self.task_size, len(self.status))
+            if a >= len(self.done):
+                return None
+            b = min(a + self.task_size, len(self.done))
             self.next_task = b
-            for t in range(a, b):
-                self.status[t] = ACTIVE
-                st = self.state[self.sides[t]]
-                spos = self.sposs[t]
-                st.count = max(st.count, spos)
-                st.keys[spos] = self.xs[t]
         return a, b
 
     # -- result generation ------------------------------------------------
@@ -197,14 +192,14 @@ class ParallelIBWJ:
             for k, p in index.search_range(lo, hi, max(t_e, 1))
             if p < edge_snapshot
         ]
-        # Linear scan of the non-indexed window region [edge, t_l].
+        # Linear scan of the non-indexed window region [edge, t_l]; every
+        # position up to t_l arrived before this tuple.
         scan_from = max(edge_snapshot, t_e, 1)
         if scan_from <= t_l:
             self.scan_len[t] = t_l + 1 - scan_from
+            keys = self.key_of[opp_side][scan_from : t_l + 1]
             matches += [
-                (k, p)
-                for p, k in enumerate(ost.keys[scan_from : t_l + 1], scan_from)
-                if lo <= k <= hi
+                (k, p) for p, k in enumerate(keys, scan_from) if lo <= k <= hi
             ]
         return matches
 
@@ -235,7 +230,7 @@ class ParallelIBWJ:
         """Largest pos safe to evict + 1: every tuple at queue position >=
         head has its ``side``-window start at or above this (reading a
         stale, smaller ``head`` only makes the bound more conservative)."""
-        head = min(self.head, len(self.status))
+        head = min(self.head, len(self.done))
         return int(self.cnt_before[side][head]) - st.window + 1
 
     def _maybe_merge(self, st: _StreamState, side: str) -> None:
@@ -272,8 +267,8 @@ class ParallelIBWJ:
         if not self.prop_mutex.acquire(blocking=False):
             return
         try:
-            n = len(self.status)
-            while self.head < n and self.status[self.head] == COMPLETED:
+            n = len(self.done)
+            while self.head < n and self.done[self.head]:
                 t = self.head
                 g = self.gposs[t]
                 gpos_of = self.gpos_of[self.opp_of[self.sides[t]]]
@@ -304,7 +299,7 @@ class ParallelIBWJ:
                     a, b = task
                     for t in range(a, b):
                         self.results[t] = self._lookup(t)
-                        self.status[t] = COMPLETED
+                        self.done[t] = True
                         self._index_update(t)
                     self._propagate()
             except BaseException as e:  # surface worker failures to the test
@@ -332,7 +327,7 @@ class ParallelIBWJ:
         return ParallelResult(
             self.out,
             n_matches,
-            len(self.status),
+            len(self.done),
             elapsed,
             self.n_merges,
             scanned_positions=sum(self.scan_len),

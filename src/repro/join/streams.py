@@ -135,19 +135,29 @@ def arrival_columns(
     )
 
 
-def gpos_by_spos(seq: pd.DataFrame) -> dict[str, list[int]]:
-    """``out[side][spos]`` = gpos of that ``side``-stream tuple, and 0
-    where ``seq`` has no such spos (a Spark bucket's spos are sparse)."""
+def tuples_by_spos(
+    seq: pd.DataFrame,
+) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """Each stream's tuples, read by position: ``(key_of, gpos_of)`` with
+    ``key_of[side][spos]`` the key and ``gpos_of[side][spos]`` the gpos
+    of that ``side``-stream tuple, and 0 where ``seq`` has no such spos
+    (a Spark bucket's spos are sparse). An index element refers to its
+    tuple by spos (the window reference of paper Fig. 11a): expiry and
+    the §4 linear window scan read keys here, result pairs read gpos."""
     sides = seq["side"].to_numpy()
     sposs = seq["spos"].to_numpy()
-    gposs = seq["gpos"].to_numpy()
-    out = {}
+    cols = (seq["x"].to_numpy(), seq["gpos"].to_numpy())
+    key_of: dict[str, list[int]] = {}
+    gpos_of: dict[str, list[int]] = {}
     for side in ("R", "S"):
         mask = sides == side
-        g = np.zeros(int(sposs[mask].max(initial=0)) + 1, np.int64)
-        g[sposs[mask]] = gposs[mask]
-        out[side] = g.tolist()
-    return out
+        at = sposs[mask]
+        size = int(at.max(initial=0)) + 1
+        for out, col in zip((key_of, gpos_of), cols):
+            a = np.zeros(size, np.int64)
+            a[at] = col[mask]
+            out[side] = a.tolist()
+    return key_of, gpos_of
 
 
 def shifting_gaussian_stream(

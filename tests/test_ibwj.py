@@ -101,6 +101,34 @@ def test_zero_diff_equijoin():
     _run_and_check(seq, w, w, 0, FACTORIES["pim_d2"])
 
 
+@pytest.mark.parametrize("name", ["bplus", "bw"])
+@pytest.mark.parametrize(
+    "w_r, w_s, self_join",
+    [(128, 128, False), (160, 160, True), (64, 256, False)],
+    ids=["two_way", "self_join", "asym_windows"],
+)
+def test_retire_removes_the_expired_tuple(name, w_r, w_s, self_join):
+    """Probes drop expired entries by ``min_pos``, so the oracle tests
+    pass even if retire deletes nothing; the index sizes do not: each
+    delete-based index ends holding exactly its stream's window."""
+    seq = gen_stream(1500, seed=19, self_join=self_join)
+    built = []
+
+    def factory(w):
+        built.append(FACTORIES[name](w))
+        return built[-1]
+
+    ibwj.run_ibwj(
+        seq, w_r, w_s, diff_for_match_rate(2.0, max(w_r, w_s)), factory,
+        self_join=self_join, collect_pairs=False,
+    )
+    sides = ["R"] if self_join else ["R", "S"]
+    windows = {"R": w_r, "S": w_s}
+    assert [len(a.tree if name == "bplus" else a.idx) for a in built] == [
+        min(windows[s], int((seq["side"] == s).sum())) for s in sides
+    ]
+
+
 def _buckets(seq, n_buckets, diff):
     """(pid, rows, owner mask) per bucket, cut by the Spark join's own
     ``spark_join.bucket_rows``."""

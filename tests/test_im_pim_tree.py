@@ -123,7 +123,11 @@ def test_pim_subindex_count_matches_ts_nodes():
     for d_i in (1, 2, 3):
         t = PIMTree(w, 0.5, d_i)
         _churn(t, 3 * w, w, seed=4)
-        assert t.n_subindexes == t.t_s.n_nodes_at_depth(d_i)
+        # One sub-index per depth-D_I node of T_S (D_I clamped to the
+        # deepest inner level), each node covering f^(height-D_I) elements.
+        d = min(d_i, t.t_s.height - 1)
+        f = t.t_s.fanout
+        assert t.n_subindexes == -(-len(t.t_s) // f ** (t.t_s.height - d))
         assert t.n_subindexes == max(1, len(t.t_s.partition_bounds(d_i)))
 
 

@@ -73,7 +73,6 @@ def test_empty_tree():
     assert t.height == 0
     assert t.search_range(0, 100) == []
     assert t.find_start(5) == 0
-    assert t.n_nodes_at_depth(2) == 1
     assert len(t.partition_bounds(2)) == 0
 
 
@@ -81,8 +80,10 @@ def test_empty_tree():
 def test_route_consistent_with_partition_bounds(depth):
     t, keys, _ = _make(5000, 8, seed=4)
     bounds = t.partition_bounds(depth)
-    n_nodes = t.n_nodes_at_depth(depth)
-    assert len(bounds) == n_nodes
+    n_nodes = len(bounds)
+    # One bound per depth-``depth`` node, each covering f^(height-depth)
+    # elements.
+    assert n_nodes == -(-5000 // 8 ** (t.height - depth))
     rng = np.random.default_rng(9)
     for key in rng.integers(-5, 10**6 + 5, 300):
         i = t.route(int(key), depth)
@@ -100,11 +101,13 @@ def test_route_partitions_cover_all_elements():
             assert k <= bounds[i] or i == len(bounds) - 1
 
 
-def test_n_nodes_at_depth_monotone():
+def test_partition_bounds_grow_with_depth():
     t, _, _ = _make(10000, 8)
-    counts = [t.n_nodes_at_depth(d) for d in range(0, t.height)]
-    assert counts[0] == 1
-    assert all(a <= b for a, b in zip(counts, counts[1:]))
+    counts = [len(t.partition_bounds(d)) for d in range(1, t.height)]
+    assert counts[-1] == -(-10000 // 8)  # the leaf chunks
+    assert all(a < b for a, b in zip(counts, counts[1:]))
+    # Past the deepest inner level, the bounds stay the leaf chunks'.
+    assert len(t.partition_bounds(t.height + 2)) == counts[-1]
 
 
 def test_higher_fanout_gives_shallower_tree():

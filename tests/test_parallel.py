@@ -123,6 +123,17 @@ def test_edge_never_passes_unindexed(monkeypatch):
             assert st.indexed[p]
 
 
+def test_edge_stops_at_the_sentinel_past_the_last_position():
+    """With every position of the longest stream (the self-join's n) indexed,
+    the edge moves one past it and stops at the sentinel slot."""
+    n = 40
+    st = _StreamState(16, n, 1.0, 2)
+    for p in range(1, n + 1):
+        st.indexed[p] = True
+    st.advance_edge()
+    assert st.edge == n + 1
+
+
 @pytest.mark.parametrize(
     "self_join, w_r, w_s, expected",
     [(False, 64, 128, 133_728), (True, 96, 96, 139_344)],

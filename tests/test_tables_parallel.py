@@ -66,4 +66,4 @@ def test_pim_calibration_subindexes_are_the_w_element_ts_nodes(d_i):
     w = 1 << 12
     n_parts = tp._pim_calibration(w, d_i, 1.0, 2.0, 400)[2]
     ts = ImmutableBTree(np.arange(w), np.arange(w), 32)
-    assert n_parts == ts.n_nodes_at_depth(d_i) > 1
+    assert n_parts == len(ts.partition_bounds(d_i)) > 1
