@@ -52,9 +52,8 @@ class PIMTree:
     Parameters mirror the paper: ``window`` is w, ``merge_ratio`` is m
     (0 < m <= 1), ``insertion_depth`` is D_I (root = depth 0). The
     sub-indexes are ``BPlusTree``s at their default fan-out (f_b = 16)
-    and T_S an ``ImmutableBTree`` at its default (f_ib = 32), the paper's
-    values. While T_S is empty (before the first merge) there is a
-    single sub-index.
+    and T_S an ``ImmutableBTree`` (f_ib = 32), the paper's values. While
+    T_S is empty (before the first merge) there is a single sub-index.
     """
 
     def __init__(
@@ -84,11 +83,11 @@ class PIMTree:
     # -- structure maintenance -------------------------------------------
     def _reset_subindexes(self) -> None:
         # Upper bounds of the depth-D_I nodes but the last: routing a key
-        # is one binary search over these, the same comparison sequence
-        # as the T_S descent to D_I (``ImmutableBTree.route``) at
-        # D_I*log2(f_ib) comparisons either way. Dropping the last bound
-        # routes keys above every node to the rightmost sub-index, so
-        # there is one sub-index per bound kept, plus that one.
+        # is one binary search over these, the comparison sequence of a
+        # CSS descent from the root to D_I (D_I*log2(f_ib) comparisons).
+        # Dropping the last bound routes keys above every node to the
+        # rightmost sub-index, so there is one sub-index per bound kept,
+        # plus that one.
         self._bounds: list[int] = self.t_s.partition_bounds(
             self.insertion_depth
         ).tolist()[:-1]

@@ -26,7 +26,7 @@ from repro.baselines.chained_index import ChainedIndex
 from repro.baselines.nlwj import NLWJWindow
 from repro.core.bplus_tree import BPlusTree
 from repro.core.pim_tree import PIMTree
-from repro.join.streams import arrival_columns, tuples_by_spos
+from repro.join.streams import arrival_columns, by_spos
 
 
 @dataclass
@@ -52,7 +52,11 @@ class StepCosts:
 
 class _Adapter:
     """One sliding window's index + expiry policy. ``pos`` is the
-    per-stream arrival position (spos)."""
+    per-stream arrival position (spos). ``maskable``: a run where only
+    some rows insert (``run_ibwj``'s ``owner``) stays exact and keeps the
+    index window-sized."""
+
+    maskable = True
 
     def insert(self, key: int, pos: int) -> None:
         raise NotImplementedError
@@ -76,6 +80,9 @@ class _Adapter:
 
 
 class BPlusAdapter(_Adapter):
+    # retires by delete, which a masked run does only on owner rows
+    maskable = False
+
     def __init__(self, window: int) -> None:
         self.tree = BPlusTree()
 
@@ -119,6 +126,8 @@ class ChainAdapter(_Adapter):
 
 
 class BwAdapter(_Adapter):
+    maskable = False  # retires by delete, as BPlusAdapter
+
     def __init__(self, window: int) -> None:
         self.idx = BwTreeLike()
 
@@ -136,6 +145,10 @@ class BwAdapter(_Adapter):
 
 
 class NLWJAdapter(_Adapter):
+    # probes the ring's first min(inserts, w) slots, which sparse inserts
+    # do not fill in order
+    maskable = False
+
     def __init__(self, window: int) -> None:
         self.win = NLWJWindow(window)
 
@@ -269,11 +282,13 @@ def run_ibwj(
     ``owner`` is a boolean array aligned with ``seq``'s rows; ``None``
     means every row inserts. A row with ``owner[t]`` False runs Step 1
     only: a Spark bucket's band-replica rows probe but never insert.
-    With a delete-based adapter this leaves stale entries, because a
-    bucket sees only some spos and retires only on owner rows. Results
-    stay exact: every probe filters by ``min_pos``, and retiring a spos
-    the bucket does not own is a no-op, since it was never inserted and
-    ``BPlusTree.delete`` returns False on a missing element.
+    The pairs are then exactly those whose earlier tuple is owned, for
+    adapters that expire by position (PIM, IM, chained): every probe
+    filters by ``min_pos``, and merges and chain expiry drop by
+    position. A mask that excludes a row raises ``ValueError`` for the
+    others (``maskable`` False): B+ and Bw retire by delete on owner rows
+    only, so they keep stale entries and grow with the stream, and
+    NLWJ's ring probes only its first min(inserts, w) slots.
     """
     sides, sposs, xs, opps, gposs = arrival_columns(seq)
     owners = None if owner is None else np.asarray(owner, bool).tolist()
@@ -284,12 +299,16 @@ def run_ibwj(
     else:
         idx_r = index_factory(w_r)
         idx_s = index_factory(w_s)
+    if owners is not None and not all(owners) and not idx_r.maskable:
+        raise ValueError(f"{type(idx_r).__name__} cannot run with an owner mask")
     win = {"R": w_r, "S": w_s}
     own = {"R": idx_r, "S": idx_s}
     opp = {"R": idx_s, "S": idx_r}
     # Key by (side, spos) to retire expired tuples from delete-based
-    # indexes, gpos by (side, spos) for pair materialisation.
-    key_of, gpos_of = tuples_by_spos(seq)
+    # indexes; gpos by (side, spos) names the earlier tuple of a pair, so
+    # runs without pairs (steady-state tables, benchmarks) skip it.
+    key_of = by_spos(seq, "x")
+    gpos_of = by_spos(seq, "gpos") if collect_pairs else None
 
     pairs: list[tuple[int, int]] | None = [] if collect_pairs else None
     costs = StepCosts()

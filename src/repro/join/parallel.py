@@ -27,7 +27,7 @@ Key mechanisms mirrored from the paper:
 - per stream, an *edge* position marks the earliest non-indexed tuple;
   lookups combine an index probe (results filtered to pos < edge
   snapshot) with a linear window scan over [edge snapshot, t_l], which
-  reads keys from the stream's window (``streams.tuples_by_spos``);
+  reads keys from the stream's window (``streams.by_spos``);
 - the edge advances under a try-lock; result propagation drains the
   queue head under another try-lock, preserving arrival order.
 """
@@ -41,7 +41,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.pim_tree import PIMTree
-from repro.join.streams import arrival_columns, tuples_by_spos
+from repro.join.streams import arrival_columns, by_spos
 
 
 class _StreamState:
@@ -138,7 +138,8 @@ class ParallelIBWJ:
             self.cnt_before["S"] = self.cnt_before["R"]
         # Key and gpos by (side, spos): the window scan reads keys, and
         # propagation names the earlier tuple of a result pair by gpos.
-        self.key_of, self.gpos_of = tuples_by_spos(seq)
+        self.key_of = by_spos(seq, "x")
+        self.gpos_of = by_spos(seq, "gpos")
         # Per-tuple inputs, filled by run(): side, spos, key, opposite
         # tuples seen (t_l) and gpos, indexed by queue position.
         self.sides: list[str] = []

@@ -135,29 +135,24 @@ def arrival_columns(
     )
 
 
-def tuples_by_spos(
-    seq: pd.DataFrame,
-) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-    """Each stream's tuples, read by position: ``(key_of, gpos_of)`` with
-    ``key_of[side][spos]`` the key and ``gpos_of[side][spos]`` the gpos
-    of that ``side``-stream tuple, and 0 where ``seq`` has no such spos
-    (a Spark bucket's spos are sparse). An index element refers to its
-    tuple by spos (the window reference of paper Fig. 11a): expiry and
-    the §4 linear window scan read keys here, result pairs read gpos."""
+def by_spos(seq: pd.DataFrame, column: str) -> dict[str, list[int]]:
+    """One column of each stream's tuples, read by position:
+    ``out[side][spos]`` is ``column`` of that ``side``-stream tuple, and 0
+    where ``seq`` has no such spos (a Spark bucket's spos are sparse). An
+    index element refers to its tuple by spos (the window reference of
+    paper Fig. 11a): expiry and the §4 linear window scan read keys
+    (``x``) this way, result pairs read ``gpos``."""
     sides = seq["side"].to_numpy()
     sposs = seq["spos"].to_numpy()
-    cols = (seq["x"].to_numpy(), seq["gpos"].to_numpy())
-    key_of: dict[str, list[int]] = {}
-    gpos_of: dict[str, list[int]] = {}
+    col = seq[column].to_numpy()
+    out: dict[str, list[int]] = {}
     for side in ("R", "S"):
         mask = sides == side
         at = sposs[mask]
-        size = int(at.max(initial=0)) + 1
-        for out, col in zip((key_of, gpos_of), cols):
-            a = np.zeros(size, np.int64)
-            a[at] = col[mask]
-            out[side] = a.tolist()
-    return key_of, gpos_of
+        a = np.zeros(int(at.max(initial=0)) + 1, np.int64)
+        a[at] = col[mask]
+        out[side] = a.tolist()
+    return out
 
 
 def shifting_gaussian_stream(

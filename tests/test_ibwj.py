@@ -2,9 +2,11 @@
 every index adapter and workload shape the paper evaluates."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.immutable_btree import _WALK
-from repro.join import ibwj, spark_join
+from repro.join import ibwj, spark_join, streams
 from repro.join.streams import (
     KEY_SPACE,
     diff_for_match_rate,
@@ -176,6 +178,67 @@ def test_bucketed_owner_runs_union_to_oracle(
         pairs += res.pairs
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == reference_pairs(seq, w_r, w_s, diff, self_join=self_join)
+
+
+# Adapters that expire by position, so a run where only owner rows insert
+# stays exact; the delete-based and ring adapters reject such a run.
+MASKABLE = [n for n in sorted(FACTORIES) if n.startswith(("chain", "im", "pim"))]
+UNMASKABLE = ["bplus", "bw", "nlwj"]
+
+
+@pytest.mark.parametrize("name", MASKABLE)
+@settings(max_examples=8, deadline=None)
+@given(
+    shape=st.sampled_from(["two_way", "self_join", "asym_windows"]),
+    seed=st.integers(0, 2**16),
+    share=st.floats(0.05, 0.95),
+)
+def test_masked_run_returns_the_owned_pairs(name, shape, seed, share):
+    """Under a random owner mask, every row probes and only owner rows
+    insert: the pairs are exactly the oracle's whose earlier tuple is
+    owned, each once, on two-way, self-join and w_r != w_s streams."""
+    self_join = shape == "self_join"
+    w_r, w_s = (48, 160) if shape == "asym_windows" else (96, 96)
+    seq = gen_stream(900, seed=seed, self_join=self_join)
+    owner = np.random.default_rng(seed).random(len(seq)) < share
+    diff = diff_for_match_rate(2.0, max(w_r, w_s))
+    res = ibwj.run_ibwj(
+        seq, w_r, w_s, diff, FACTORIES[name], self_join=self_join, owner=owner
+    )
+    owned = set(seq["gpos"][owner].tolist())
+    ref = reference_pairs(seq, w_r, w_s, diff, self_join=self_join)
+    assert len(res.pairs) == len(set(res.pairs))
+    assert set(res.pairs) == {p for p in ref if p[1] in owned}
+
+
+@pytest.mark.parametrize("name", UNMASKABLE)
+def test_partial_mask_is_rejected(name):
+    """A mask that leaves out one row raises for an adapter that retires
+    by delete or by ring slot; an all-True mask runs (``_run_and_check``)."""
+    seq = gen_stream(300, seed=22)
+    owner = np.ones(len(seq), bool)
+    owner[150] = False
+    with pytest.raises(ValueError):
+        ibwj.run_ibwj(seq, 64, 64, 1000, FACTORIES[name], owner=owner)
+
+
+@pytest.mark.parametrize("collect_pairs", [True, False])
+def test_gpos_map_is_built_only_for_pairs(collect_pairs, monkeypatch):
+    """Expiry reads keys by position in every run; only pair collection
+    reads gpos by position."""
+    built = []
+
+    def by_spos(seq, column):
+        built.append(column)
+        return streams.by_spos(seq, column)
+
+    monkeypatch.setattr(ibwj, "by_spos", by_spos)
+    seq = gen_stream(400, seed=23)
+    res = ibwj.run_ibwj(
+        seq, 64, 64, 1000, FACTORIES["bplus"], collect_pairs=collect_pairs
+    )
+    assert built == (["x", "gpos"] if collect_pairs else ["x"])
+    assert (res.pairs is not None) == collect_pairs
 
 
 def test_warmup_excludes_pairs_and_time():

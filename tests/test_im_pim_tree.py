@@ -2,11 +2,13 @@
 
 The IM-Tree is a PIM-Tree at insertion depth 0 without locks."""
 import threading
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from repro.core.bplus_tree import BPlusTree
+from repro.core.immutable_btree import _FANOUT
 from repro.core.pim_tree import PIMTree, merge_sorted
 
 
@@ -126,14 +128,13 @@ def test_pim_subindex_count_matches_ts_nodes():
         # One sub-index per depth-D_I node of T_S (D_I clamped to the
         # deepest inner level), each node covering f^(height-D_I) elements.
         d = min(d_i, t.t_s.height - 1)
-        f = t.t_s.fanout
-        assert t.n_subindexes == -(-len(t.t_s) // f ** (t.t_s.height - d))
+        assert t.n_subindexes == -(-len(t.t_s) // _FANOUT ** (t.t_s.height - d))
         assert t.n_subindexes == max(1, len(t.t_s.partition_bounds(d_i)))
 
 
 def test_pim_route_matches_ts_route():
-    """Inserts and probes route like the per-level T_S descent to D_I
-    (``ImmutableBTree.route``, clamped to the last sub-index)."""
+    """Inserts and probes route like a T_S descent to D_I: one bisect over
+    the depth-D_I node bounds of T_S, clamped to the last sub-index."""
     w = 4096
     for d_i in (1, 2, 3):
         t = PIMTree(w, 0.5, d_i)
@@ -142,8 +143,10 @@ def test_pim_route_matches_ts_route():
         for p, key in enumerate(rng.integers(-10, 10**6 + 10, 500), 3 * w + 1):
             t.insert(int(key), p)
 
+        bounds = t.t_s.partition_bounds(d_i).tolist()
+
         def route(key):
-            return min(t.t_s.route(key, d_i), t.n_subindexes - 1)
+            return min(bisect_left(bounds, key), t.n_subindexes - 1)
 
         assert t.n_subindexes > 1 and sum(t.insert_counts) == 500
         for i, b in enumerate(t.subindexes):
@@ -222,21 +225,21 @@ def test_pim_merged_copy_drops_expired():
     """Expiry filtering applies to T_S only — T_I holds the newest m*w <= w
     tuples, which by construction cannot have expired (paper §3.3.1).
     Before and after a merge, and in a merged copy, every sub-index is a
-    B+-Tree at the paper's f_b = 16 and T_S has f_ib = 32."""
+    B+-Tree at the paper's f_b = 16."""
 
     def fanouts(tree):
         subs = {(type(b), b.fanout) for b in tree.subindexes}
-        return subs, tree.t_s.fanout, tree.n_subindexes > 1
+        return subs, tree.n_subindexes > 1
 
     w = 512
     t = PIMTree(w, 1.0, 2)
     for p in range(1, 601):
         t.insert(p * 13 % 1000, p)
-    assert fanouts(t) == ({(BPlusTree, 16)}, 32, False)
+    assert fanouts(t) == ({(BPlusTree, 16)}, False)
     t.merge(min_pos=1)  # everything now lives in T_S
-    assert fanouts(t) == ({(BPlusTree, 16)}, 32, True)
+    assert fanouts(t) == ({(BPlusTree, 16)}, True)
     new = PIMTree.merged_copy(t, min_pos=101)
-    assert fanouts(new) == ({(BPlusTree, 16)}, 32, True)
+    assert fanouts(new) == ({(BPlusTree, 16)}, True)
     got = sorted(p for _, p in new.search_range(0, 1000))
     assert got == list(range(101, 601))
 

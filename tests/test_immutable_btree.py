@@ -4,26 +4,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.immutable_btree import _WALK, ImmutableBTree
+from repro.core import immutable_btree
+from repro.core.immutable_btree import _FANOUT, _WALK, ImmutableBTree
 
 
-def _make(n, fanout=8, seed=0, key_space=10**6):
+def _make(n, seed=0, key_space=10**6):
     rng = np.random.default_rng(seed)
     keys = np.sort(rng.integers(0, key_space, n))
     poss = rng.permutation(n) + 1
-    return ImmutableBTree(keys, poss, fanout), keys, poss
+    return ImmutableBTree(keys, poss), keys, poss
+
+
+def _inner_keys(keys, f):
+    """The CSS inner key arrays, root level first, built bottom-up as in
+    Algorithm 3: a node stores the max key of each of its f children,
+    and the leaf chunks are f elements each."""
+    if not keys:
+        return []
+    below = [max(keys[i : i + f]) for i in range(0, len(keys), f)]
+    built = [below]
+    while len(below) > f:
+        below = [max(below[i : i + f]) for i in range(0, len(below), f)]
+        built.append(below)
+    return built[::-1]
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 1000, 5000])
 @pytest.mark.parametrize("fanout", [4, 8, 32])
-def test_build_and_len(n, fanout):
-    t, keys, _ = _make(n, fanout)
+def test_build_and_len(n, fanout, monkeypatch):
+    """Height, byte model and the bounds at every depth equal those of
+    the explicitly built inner key arrays. The layout arithmetic is
+    generic in f, and small fan-outs reach deep trees at small n."""
+    monkeypatch.setattr(immutable_btree, "_FANOUT", fanout)
+    t, keys, _ = _make(n)
+    inner = _inner_keys(keys.tolist(), fanout)
     assert len(t) == n
-    if n:
-        assert t.height >= 1
-        # level sizes shrink by ~fanout
-        for a, b in zip(t.levels, t.levels[1:]):
-            assert len(a) <= len(b)
+    assert t.height == len(inner) + (1 if n else 0)
+    assert t.memory_bytes() == 8 * n + 4 * sum(map(len, inner))
+    for depth in range(len(inner) + 3):
+        d = min(depth, len(inner))
+        assert t.partition_bounds(depth).tolist() == (inner[d - 1] if d else [])
 
 
 def test_rejects_unsorted_keys():
@@ -38,19 +58,24 @@ def test_rejects_mismatched_lengths():
 
 @pytest.mark.parametrize("fanout", [4, 8, 32])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_find_start_equals_searchsorted(fanout, seed):
-    t, keys, _ = _make(2000, fanout, seed)
+def test_find_start_equals_searchsorted(fanout, seed, monkeypatch):
+    """The seek is the first key >= lo and charges the descent of the
+    layout at that fan-out, ``(height + 1) * f * 4`` B."""
+    monkeypatch.setattr(immutable_btree, "_FANOUT", fanout)
+    t, keys, _ = _make(2000, seed)
     rng = np.random.default_rng(seed + 10)
     probes = np.concatenate(
         [rng.integers(-10, 10**6 + 10, 200), keys[rng.integers(0, 2000, 50)]]
     )
     for lo in probes:
+        before = t.bytes_loaded
         assert t.find_start(int(lo)) == int(np.searchsorted(keys, lo, "left"))
+        assert t.bytes_loaded - before == (t.height + 1) * fanout * 4
 
 
 @pytest.mark.parametrize("n", [1, 100, 4096])
 def test_search_range_matches_mask(n):
-    t, keys, poss = _make(n, 8, seed=3)
+    t, keys, poss = _make(n, seed=3)
     rng = np.random.default_rng(42)
     for _ in range(50):
         lo = int(rng.integers(-5, 10**6))
@@ -62,7 +87,7 @@ def test_search_range_matches_mask(n):
 def test_search_range_min_pos_filter():
     keys = np.arange(100)
     poss = np.arange(1, 101)
-    t = ImmutableBTree(keys, poss, 8)
+    t = ImmutableBTree(keys, poss)
     got = t.search_range(0, 99, min_pos=51)
     assert min(p for _, p in got) == 51 and len(got) == 50
 
@@ -76,48 +101,73 @@ def test_empty_tree():
     assert len(t.partition_bounds(2)) == 0
 
 
+@pytest.mark.parametrize(
+    "n", [0, 1, 31, 32, 33, 1023, 1024, 1025, 32767, 32768, 32769]
+)
+def test_partition_bounds_are_chunk_maxima(n):
+    """At f = 32 and n = f^k - 1, f^k, f^k + 1, the bounds at every depth,
+    clamped ones included, are the max keys of consecutive chunks of
+    ``f^(L - depth + 1)`` elements, L being the inner levels: the fewest
+    (at least one) that leave at most f nodes at the root."""
+    t, keys, _ = _make(n, key_space=n + 1)
+    n_inner = 1 if n else 0
+    while _FANOUT ** (n_inner + 1) < n:
+        n_inner += 1
+    assert t.height == n_inner + (1 if n else 0)
+    for depth in range(n_inner + 3):
+        d = min(depth, n_inner)
+        size = _FANOUT ** (n_inner - d + 1)
+        expect = [int(keys[i : i + size].max()) for i in range(0, n, size)]
+        assert t.partition_bounds(depth).tolist() == (expect if d else [])
+
+
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_route_consistent_with_partition_bounds(depth):
-    t, keys, _ = _make(5000, 8, seed=4)
+    """Routing a key by one bisect over the depth-``depth`` bounds,
+    clamped to the last node (PIM-Tree's rule), picks the node whose
+    elements hold the seek's result, duplicate keys included."""
+    t, keys, _ = _make(40000, seed=4, key_space=10**5)
     bounds = t.partition_bounds(depth)
-    n_nodes = len(bounds)
-    # One bound per depth-``depth`` node, each covering f^(height-depth)
-    # elements.
-    assert n_nodes == -(-5000 // 8 ** (t.height - depth))
+    size = _FANOUT ** (t.height - depth)
     rng = np.random.default_rng(9)
-    for key in rng.integers(-5, 10**6 + 5, 300):
-        i = t.route(int(key), depth)
-        j = int(np.searchsorted(bounds, key, "left"))
-        assert i == min(j, n_nodes - 1)
+    for key in np.concatenate([rng.integers(-5, 10**5 + 5, 300), keys[::97]]):
+        i = int(np.searchsorted(bounds, key, "left"))
+        assert min(i, len(bounds) - 1) == min(
+            t.find_start(int(key)) // size, len(bounds) - 1
+        )
 
 
 def test_route_partitions_cover_all_elements():
-    """Every element routed to node i at depth d lies within bounds[i]."""
-    t, keys, _ = _make(3000, 8, seed=5)
+    """With distinct keys, routing every element by the bounds gives each
+    depth-d node exactly its chunk of consecutive elements."""
+    keys = np.arange(0, 6000, 2)
+    t = ImmutableBTree(keys, np.arange(1, 3001))
     for depth in (1, 2):
         bounds = t.partition_bounds(depth)
-        for k in keys[::37]:
-            i = t.route(int(k), depth)
-            assert k <= bounds[i] or i == len(bounds) - 1
+        size = _FANOUT ** (t.height - depth)
+        routed = np.minimum(np.searchsorted(bounds, keys, "left"), len(bounds) - 1)
+        assert routed.tolist() == [j // size for j in range(len(keys))]
 
 
 def test_partition_bounds_grow_with_depth():
-    t, _, _ = _make(10000, 8)
+    t, _, _ = _make(10000)
     counts = [len(t.partition_bounds(d)) for d in range(1, t.height)]
-    assert counts[-1] == -(-10000 // 8)  # the leaf chunks
+    assert counts[-1] == -(-10000 // _FANOUT)  # the leaf chunks
     assert all(a < b for a, b in zip(counts, counts[1:]))
     # Past the deepest inner level, the bounds stay the leaf chunks'.
     assert len(t.partition_bounds(t.height + 2)) == counts[-1]
 
 
-def test_higher_fanout_gives_shallower_tree():
-    t8, _, _ = _make(20000, 8)
-    t32, _, _ = _make(20000, 32)
+def test_higher_fanout_gives_shallower_tree(monkeypatch):
+    monkeypatch.setattr(immutable_btree, "_FANOUT", 8)
+    t8, _, _ = _make(20000)
+    monkeypatch.undo()
+    t32, _, _ = _make(20000)
     assert t32.height < t8.height
 
 
 def test_memory_bytes_accounts_elements_and_inner():
-    t, _, _ = _make(4096, 8)
+    t, _, _ = _make(4096)
     assert t.memory_bytes() > 4096 * 8
     assert t.memory_bytes() < 4096 * 8 * 2
 
@@ -130,7 +180,7 @@ def test_scan_band_lengths_around_walk_bound(length, first):
     live elements and charge 8 B per element in the band."""
     keys = np.arange(0, 200, 2)
     poss = np.arange(1, 101)
-    t = ImmutableBTree(keys, poss, 4)
+    t = ImmutableBTree(keys, poss)
     lo = 2 * first
     hi = lo + 2 * length - 1
     in_band = [(k, p) for k, p in zip(keys.tolist(), poss.tolist()) if lo <= k <= hi]
@@ -143,7 +193,7 @@ def test_scan_band_lengths_around_walk_bound(length, first):
 def test_duplicate_keys_all_returned():
     keys = np.array([5] * 50 + [7] * 30)
     poss = np.arange(1, 81)
-    t = ImmutableBTree(np.sort(keys), poss, 4)
+    t = ImmutableBTree(np.sort(keys), poss)
     assert len(t.search_range(5, 5)) == 50
     assert len(t.search_range(5, 7)) == 80
 
@@ -157,7 +207,7 @@ def test_duplicate_keys_all_returned():
 def test_property_search_range(data, lo, width):
     keys = np.sort(np.asarray(data, np.int64))
     poss = np.arange(1, len(keys) + 1)
-    t = ImmutableBTree(keys, poss, 4)
+    t = ImmutableBTree(keys, poss)
     hi = lo + width
     got = t.search_range(lo, hi)
     assert [k for k, _ in got] == [x for x in keys.tolist() if lo <= x <= hi]
@@ -166,25 +216,24 @@ def test_property_search_range(data, lo, width):
 @settings(max_examples=60)
 @given(
     data=st.lists(st.integers(0, 60), max_size=300),
-    fanout=st.sampled_from([2, 4, 32]),
     probes=st.lists(
         st.tuples(st.integers(-5, 70), st.integers(-10, 80), st.integers(-1, 320)),
         min_size=1,
         max_size=20,
     ),
 )
-def test_property_search_range_pairs_and_bytes(data, fanout, probes):
+def test_property_search_range_pairs_and_bytes(data, probes):
     """The ``(key, pos)`` pairs equal a numpy-mask brute force (duplicate
     keys, empty trees, empty ``hi < lo`` ranges, ``min_pos`` filtering,
     bands both within and far beyond the walked length ``_WALK``, up to
     the whole array), and each call charges one descent,
-    ``(height + 1) * fanout * 4`` B on a non-empty tree, plus 8 B per
+    ``(height + 1) * f * 4`` B on a non-empty tree, plus 8 B per
     element in ``[lo, hi]`` (expired ones included): the T16 bandwidth
     model."""
     keys = np.sort(np.asarray(data, np.int64))
     poss = np.random.default_rng(len(data)).permutation(len(keys)) + 1
-    t = ImmutableBTree(keys, poss, fanout)
-    descent = (t.height + 1) * fanout * 4 if len(keys) else 0
+    t = ImmutableBTree(keys, poss)
+    descent = (t.height + 1) * _FANOUT * 4 if len(keys) else 0
     whole = [(-1, 62, min_pos) for _, _, min_pos in probes[:1]]
     for lo, width, min_pos in probes + whole:
         hi = lo + width
