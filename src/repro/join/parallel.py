@@ -30,6 +30,18 @@ Key mechanisms mirrored from the paper:
   reads keys from the stream's window (``streams.by_spos``);
 - the edge advances under a try-lock; result propagation drains the
   queue head under another try-lock, preserving arrival order.
+
+Within a task the order is index update for every tuple, then result
+generation for every tuple, then propagation. The reason is the GIL: it
+switches a thread out every few milliseconds, and a thread switched out
+while still holding claimed but non-indexed tuples stalls the edge, so
+every other thread's lookups scan linearly from it. The order is exact:
+a lookup keeps an index hit only below min(edge, t_l + 1) and scans only
+up to t_l, so a later tuple of the same task is invisible to an earlier
+one (and in a two-way join a tuple never probes its own stream); a merge
+the task's own inserts trigger evicts below the window of ``head``,
+which is at or before the task's first tuple, so it keeps the task's
+windows.
 """
 from __future__ import annotations
 
@@ -298,10 +310,20 @@ class ParallelIBWJ:
                     if task is None:
                         return
                     a, b = task
+                    # Index update for the whole task, then result
+                    # generation: a thread the GIL switches out mid-task
+                    # then holds no claimed tuple back from the edge.
+                    # Exact, because a lookup keeps index hits below
+                    # min(edge, t_l + 1) and scans only up to t_l, so a
+                    # later tuple of the task stays invisible to an
+                    # earlier one; and a merge these inserts trigger
+                    # evicts below the window of ``head`` (still <= a),
+                    # keeping the task's windows.
+                    for t in range(a, b):
+                        self._index_update(t)
                     for t in range(a, b):
                         self.results[t] = self._lookup(t)
                         self.done[t] = True
-                        self._index_update(t)
                     self._propagate()
             except BaseException as e:  # surface worker failures to the test
                 errors.append(e)

@@ -2,6 +2,8 @@
 missing results under real thread interleaving, ordered propagation,
 edge-tuple and nonblocking-merge safety."""
 import sys
+import threading
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -184,11 +186,10 @@ def test_throughput_and_counts_reported():
     assert res.n_matches == len(res.pairs)
 
 
-@settings(max_examples=24)
-@given(
-    n=st.integers(3000, 5000),
+# Strategies shared by the Tier-1 stress test and its soak variant, which
+# differ only in stream length, thread count and number of examples.
+_INTERLEAVING_CONFIGS = dict(
     seed=st.integers(0, 2**16),
-    n_threads=st.integers(1, 8),
     task_size=st.integers(1, 8),
     merge_ratio=st.sampled_from([1 / 16, 1 / 4, 1.0]),
     self_join=st.booleans(),
@@ -196,11 +197,11 @@ def test_throughput_and_counts_reported():
     w_r=st.sampled_from([64, 128, 256]),
     w_s=st.sampled_from([64, 128, 256]),
 )
-def test_stress_fine_interleavings_match_oracle(
+
+
+def _fine_interleavings_match_oracle(
     n, seed, n_threads, task_size, merge_ratio, self_join, d_i, w_r, w_s
 ):
-    """Thread switches every microsecond, at windows small enough that
-    merges fire many times, across the whole configuration space."""
     if self_join:
         w_s = w_r
     seq = gen_stream(n, seed=seed, self_join=self_join)
@@ -218,6 +219,107 @@ def test_stress_fine_interleavings_match_oracle(
     assert res.n_merges > 0
     if n_threads == 1:
         assert res.scanned_positions == res.deferred_inserts == 0
+
+
+@settings(max_examples=24)
+@given(
+    n=st.integers(3000, 5000),
+    n_threads=st.integers(1, 8),
+    **_INTERLEAVING_CONFIGS,
+)
+def test_stress_fine_interleavings_match_oracle(
+    n, seed, n_threads, task_size, merge_ratio, self_join, d_i, w_r, w_s
+):
+    """Thread switches every microsecond, at windows small enough that
+    merges fire many times, across the whole configuration space."""
+    _fine_interleavings_match_oracle(
+        n, seed, n_threads, task_size, merge_ratio, self_join, d_i, w_r, w_s
+    )
+
+
+@pytest.mark.soak
+@settings(max_examples=200)
+@given(
+    n=st.integers(16_000, 20_000),
+    n_threads=st.integers(1, 16),
+    **_INTERLEAVING_CONFIGS,
+)
+def test_soak_fine_interleavings_match_oracle(
+    n, seed, n_threads, task_size, merge_ratio, self_join, d_i, w_r, w_s
+):
+    """The stress test at longer streams, more threads and more examples;
+    outside Tier-1, run with ``pytest -m soak tests/test_parallel.py``."""
+    _fine_interleavings_match_oracle(
+        n, seed, n_threads, task_size, merge_ratio, self_join, d_i, w_r, w_s
+    )
+
+
+@pytest.mark.parametrize("self_join", [False, True], ids=["two_way", "self_join"])
+@pytest.mark.parametrize("n_threads", [1, 4])
+def test_each_task_is_indexed_before_its_lookups(n_threads, self_join):
+    """Within each thread, every index update of a claimed task finishes
+    before the task's first lookup starts, and each task runs on one
+    thread: a claimer switched out mid-task holds no tuple back from the
+    edge."""
+    w, task_size, n = 64, 8, 1200
+    seq = gen_stream(n, seed=14, self_join=self_join)
+    j = ParallelIBWJ(
+        seq, w, w, diff_for_match_rate(2.0, w),
+        self_join=self_join, n_threads=n_threads, task_size=task_size,
+        merge_ratio=0.25,
+    )
+    log = []
+    index_update, lookup = j._index_update, j._lookup
+
+    def logged_index_update(t):
+        index_update(t)
+        log.append((threading.get_ident(), "index", t))
+
+    def logged_lookup(t):
+        log.append((threading.get_ident(), "lookup", t))
+        return lookup(t)
+
+    j._index_update = logged_index_update
+    j._lookup = logged_lookup
+    assert j.run().n_merges > 0
+    for kind in ("index", "lookup"):
+        assert sorted(t for _, k, t in log if k == kind) == list(range(n))
+    events = defaultdict(list)  # (thread, task) -> kinds in call order
+    for thread, kind, t in log:
+        events[thread, t // task_size].append(kind)
+    tasks = [task for _, task in events]
+    assert len(tasks) == len(set(tasks)), "a task ran on two threads"
+    for (_, task), kinds in events.items():
+        size = min(task_size, n - task * task_size)
+        assert kinds == ["index"] * size + ["lookup"] * size, task
+
+
+@pytest.mark.parametrize("n_threads", [1, 4])
+@pytest.mark.parametrize(
+    "self_join, same_task_pairs",
+    [(False, 1356), (True, 2393)],
+    ids=["two_way", "self_join"],
+)
+def test_pairs_within_one_task_match_oracle(
+    n_threads, self_join, same_task_pairs
+):
+    """At sigma_s = 32 thousands of result pairs join two tuples of one
+    task, all indexed before either looks up: the later tuple must find
+    the earlier one exactly once, and the earlier must not see the
+    later."""
+    w, task_size = 128, 8
+    seq = gen_stream(3000, seed=5, self_join=self_join)
+    diff = diff_for_match_rate(32.0, w)
+    ref = reference_pairs(seq, w, w, diff, self_join=self_join)
+    assert sum(
+        (a - 1) // task_size == (b - 1) // task_size for a, b in ref
+    ) == same_task_pairs
+    res = _check(
+        seq, w, w, diff,
+        self_join=self_join, n_threads=n_threads, task_size=task_size,
+        merge_ratio=0.25,
+    )
+    assert res.n_merges > 0
 
 
 def test_run_time_is_linear_in_stream_length():
