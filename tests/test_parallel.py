@@ -5,12 +5,14 @@ import sys
 import threading
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.join.parallel import ParallelIBWJ, _StreamState
+from repro.join.parallel import _SCAN_WALK, ParallelIBWJ, _scan, _StreamState
 from repro.join.streams import (
+    arrival_columns,
     diff_for_match_rate,
     gen_stream,
     reference_pairs,
@@ -138,8 +140,12 @@ def test_edge_stops_at_the_sentinel_past_the_last_position():
 
 @pytest.mark.parametrize(
     "self_join, w_r, w_s, expected",
-    [(False, 64, 128, 133_728), (True, 96, 96, 139_344)],
-    ids=["two_way", "self_join"],
+    [
+        (False, 64, 128, 133_728),
+        (True, 96, 96, 139_344),
+        (False, 512, 512, 505_856),
+    ],
+    ids=["two_way", "self_join", "two_way_long_scans"],
 )
 def test_window_scan_alone_finds_every_match(
     monkeypatch, self_join, w_r, w_s, expected
@@ -162,6 +168,67 @@ def test_window_scan_alone_finds_every_match(
         for side, seen in zip(seq["side"], seq["opp_seen"])
     )
     assert res.scanned_positions == full_windows == expected
+
+
+@pytest.mark.parametrize(
+    "length", [0, 1, _SCAN_WALK - 1, _SCAN_WALK, _SCAN_WALK + 1, 1024]
+)
+@pytest.mark.parametrize("first", [1, 37])
+def test_scan_matches_brute_force(length, first):
+    """Both scan paths, the list walk below ``_SCAN_WALK`` positions and
+    the numpy mask from it on, return exactly the in-band positions in
+    ascending order, band ends and duplicate keys included."""
+    rng = np.random.default_rng(length + first)
+    keys = [0] + rng.integers(0, 20, 1100).tolist()  # slot 0 unused, as by_spos
+    lo, hi = 5, 9
+    last = first + length - 1
+    ref = [(keys[p], p) for p in range(first, last + 1) if lo <= keys[p] <= hi]
+    got = _scan(keys, np.array(keys, np.int64), lo, hi, first, last)
+    assert got == ref
+    if length >= _SCAN_WALK:  # the data reaches both band ends, duplicated
+        hit_keys = [k for k, _ in ref]
+        assert hit_keys.count(lo) > 1 and hit_keys.count(hi) > 1
+
+
+def test_parked_batch_stays_non_indexed():
+    """While one stream merges, a task's tuples of that stream are all
+    parked in arrival order, stay non-indexed and hold its edge; the
+    task's tuples of the other stream are indexed as usual."""
+    w, task_size = 64, 8
+    seq = gen_stream(64, seed=15)
+    j = ParallelIBWJ(seq, w, w, diff_for_match_rate(2.0, w), task_size=task_size)
+    j.sides, j.sposs, j.xs, j.opps, j.gposs = arrival_columns(seq)
+    j._index_update(0, task_size)
+    r, s = j.state["R"], j.state["S"]
+    assert (r.edge, s.edge) == (5, 5)
+    s.merging = True
+    j._index_update(task_size, 2 * task_size)
+    task = range(task_size, 2 * task_size)
+    parked = [(j.xs[t], j.sposs[t]) for t in task if j.sides[t] == "S"]
+    assert [p for _, p in parked] == [5, 6, 7, 8]
+    assert s.pending == parked and r.pending == []
+    assert j.deferred_inserts == len(parked)
+    assert not any(s.indexed[p] for _, p in parked)
+    assert s.edge == 5 and len(s.index) == 4
+    assert all(r.indexed[p] for p in range(1, 9))
+    assert r.edge == 9 and len(r.index) == 8
+
+
+@pytest.mark.parametrize("self_join", [False, True], ids=["two_way", "self_join"])
+def test_batch_crossing_merge_threshold_merges_once(self_join):
+    """Each task inserts 24 tuples per stream against a merge threshold of
+    16: every batch crosses it and fires exactly one merge of its stream,
+    and the pairs stay exact."""
+    w, n, per_stream = 64, 1200, 24
+    streams = 1 if self_join else 2
+    task_size = per_stream * streams
+    seq = gen_stream(n, seed=16, self_join=self_join)
+    res = _check(
+        seq, w, w, diff_for_match_rate(2.0, w),
+        self_join=self_join, n_threads=1, task_size=task_size,
+        merge_ratio=0.25,
+    )
+    assert res.n_merges == streams * n // task_size
 
 
 def test_run_is_single_shot():
@@ -271,9 +338,9 @@ def test_each_task_is_indexed_before_its_lookups(n_threads, self_join):
     log = []
     index_update, lookup = j._index_update, j._lookup
 
-    def logged_index_update(t):
-        index_update(t)
-        log.append((threading.get_ident(), "index", t))
+    def logged_index_update(a, b):
+        index_update(a, b)
+        log.extend((threading.get_ident(), "index", t) for t in range(a, b))
 
     def logged_lookup(t):
         log.append((threading.get_ident(), "lookup", t))
