@@ -33,8 +33,6 @@ class ChainedIndex:
     ) -> None:
         if chain_length < 2:
             raise ValueError("chain_length must be >= 2")
-        self.window = window
-        self.chain_length = chain_length
         self.immutable_archive = immutable_archive
         self.capacity = max(1, -(-window // (chain_length - 1)))
         self.active = BPlusTree()

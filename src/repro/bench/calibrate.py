@@ -1,21 +1,30 @@
 """Calibrate simulator service times from the real structures.
 
 The concurrency simulator (DESIGN.md §3.1) takes per-tuple service times
-that must come from measurements, not guesses. This module runs the
-single-threaded IBWJ driver with per-step timing enabled and converts
-the ``StepCosts`` into ``ServiceTimes`` for each approach.
+that must come from measurements, not guesses. ``measure`` runs the
+single-threaded IBWJ driver with per-step timing enabled, and
+``service_times`` maps its ``JoinResult`` to ``ServiceTimes`` by one rule
+for every index:
 
-Service-time split: the paper's PIM-Tree holds a sub-index lock only for
-the B_i seek/scan/insert; the T_S descent and T_S leaf scan are
-lock-free. Our ``probe_split`` measures (search, scan) where 'search'
-covers both T_S and sub-index descents; ``service_times_pim`` counts a
-fixed share of it (``LOCK_FREE_SEARCH_SHARE``) as the lock-free T_S
-part. The model only needs that share to first order (lock-held
-fractions shift the congestion knee, not its existence).
+- lock-free: a fixed share (``LOCK_FREE_SEARCH_SHARE``) of the search,
+  the result scan, and the driver's own per-tuple work;
+- locked: the rest of the search, the insert and the delete;
+- merge duration and interval from the run's merges.
+
+The paper's PIM-Tree holds a sub-index lock only for the B_i
+seek/scan/insert; the T_S descent and T_S leaf scan are lock-free. A
+Bw-Tree's descent to its page is latch-free, and the page update is the
+CAS-protected part. Our ``probe_split`` measures (search, scan) where
+'search' covers both descents, so the share splits it. The model only
+needs that share to first order (lock-held fractions shift the
+congestion knee, not its existence). Only the indexes that delete each
+expired tuple (B+, Bw) have a delete; PIM and IM dispose of expired
+tuples inside the merge. Every measured second of the run lands in one
+of the service times, so a one-thread simulation over the run's own
+tuples takes the run's own time, plus the task acquisition the simulator
+adds.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.bench.tables_single import steady_state
 from repro.concurrency.simulator import ServiceTimes
@@ -30,58 +39,33 @@ LOCK_FREE_SEARCH_SHARE = 0.5
 MERGE_SCAN_SURCHARGE = 2.0
 
 
-@dataclass
-class Calibration:
-    per_tuple: dict[str, float]  # per-step seconds/tuple
-    merge_duration: float  # seconds per merge (0 if none)
-    merge_interval: int  # tuples between merges (0 if none)
-    throughput_st: float  # measured single-threaded tuples/s
-    n_matches: int
-    n_subindexes: int  # PIM-Tree sub-indexes at the end of the run; else 0
-
-
 def measure(
-    approach: str,
-    w: int,
-    *,
-    n_process: int = 20_000,
-    match_rate: float = 2.0,
-    **adapter_kwargs,
-) -> Calibration:
-    """Measure per-step costs for ``approach`` at window size ``w``.
-
-    The window is pre-filled with 2w tuples (both streams) of the seed-0
-    stream, then ``n_process`` tuples are timed.
-    """
-    adapters = []
-
-    def factory(win):
-        adapters.append(ibwj.ADAPTERS[approach](win, **adapter_kwargs))
-        return adapters[-1]
-
-    res = steady_state(
+    factory, w: int, *, n_process: int = 20_000, match_rate: float = 2.0
+) -> ibwj.JoinResult:
+    """Time ``n_process`` tuples of the IBWJ driver over ``factory``'s
+    indexes at window size ``w``, with per-step costs. The window is
+    pre-filled with 2w tuples (both streams) of the seed-0 stream."""
+    return steady_state(
         factory, w, n_process=n_process, match_rate=match_rate, seed=0,
         measure=True,
     )
+
+
+def service_times(res: ibwj.JoinResult) -> ServiceTimes:
+    """ServiceTimes of a ``measure`` run, by the module's one rule."""
     c = res.costs
-    n = max(1, c.n_tuples)
-    per = {k: v / n for k, v in zip(
-        ("search", "scan", "insert", "delete", "merge"),
-        (c.search, c.scan, c.insert, c.delete, c.merge),
-    )}
-    merge_duration = c.merge / c.n_merges if c.n_merges else 0.0
-    merge_interval = n // c.n_merges if c.n_merges else 0
-    return Calibration(
-        per_tuple=per,
-        merge_duration=merge_duration,
-        merge_interval=merge_interval,
-        throughput_st=res.throughput,
-        n_matches=res.n_matches,
-        n_subindexes=(
-            adapters[0].idx.n_subindexes
-            if isinstance(adapters[0], ibwj.PIMAdapter)
-            else 0
-        ),
+    p = c.per_tuple()
+    share = LOCK_FREE_SEARCH_SHARE
+    # The driver's own per-tuple work (loop bookkeeping, window updates)
+    # is in the measured throughput, so it must be in the service times
+    # too, or every simulated speedup is overstated by its share.
+    driver = max(0.0, 1.0 / res.throughput - sum(p.values()))
+    return ServiceTimes(
+        lock_free=p["search"] * share + p["scan"] + driver,
+        locked=p["search"] * (1 - share) + p["insert"] + p["delete"],
+        merge_duration=c.merge / c.n_merges if c.n_merges else 0.0,
+        merge_interval=max(1, c.n_tuples) // c.n_merges if c.n_merges else 0,
+        scan_surcharge=MERGE_SCAN_SURCHARGE * p["scan"],
     )
 
 
@@ -104,41 +88,3 @@ def measure_merge_cost(
     t0 = time.perf_counter()
     t.merge(n - w + 1)
     return time.perf_counter() - t0
-
-
-def _driver_overhead(cal: Calibration) -> float:
-    """Per-tuple harness cost outside the index steps (loop bookkeeping,
-    window/ring updates). The single-threaded throughput denominator
-    includes it, so the simulator's service times must too — otherwise
-    every simulated-vs-measured speedup would be overstated by exactly
-    this share."""
-    measured = sum(cal.per_tuple.values())
-    return max(0.0, 1.0 / cal.throughput_st - measured)
-
-
-def service_times_pim(cal: Calibration) -> ServiceTimes:
-    """ServiceTimes for PIM-Tree: the sub-index share of search plus the
-    insert runs under the partition lock; the T_S share, result scan and
-    driver bookkeeping are lock-free."""
-    p = cal.per_tuple
-    share = LOCK_FREE_SEARCH_SHARE
-    return ServiceTimes(
-        lock_free=p["search"] * share + p["scan"] + _driver_overhead(cal),
-        locked=p["search"] * (1 - share) + p["insert"],
-        merge_duration=cal.merge_duration,
-        merge_interval=cal.merge_interval,
-        scan_surcharge=MERGE_SCAN_SURCHARGE * p["scan"],
-    )
-
-
-def service_times_bw(cal: Calibration) -> ServiceTimes:
-    """ServiceTimes for the Bw-Tree-like index: descent is latch-free
-    (lock_free); page delta-prepend + delta-chain reads are the CAS-
-    protected portion."""
-    p = cal.per_tuple
-    share = LOCK_FREE_SEARCH_SHARE
-    return ServiceTimes(
-        lock_free=p["search"] * share + p["scan"] + _driver_overhead(cal),
-        locked=p["search"] * (1 - share) + p["insert"],
-        delete=p["delete"],
-    )

@@ -83,11 +83,12 @@ def _simulate_pim(
     )
 
 
-def _simulate_bw(cal: calibrate.Calibration, w: int, n_threads: int) -> SimResult:
-    """Simulate the IBWJ join over one shared Bw-Tree-like index on the
-    paper's machine. CAS conflicts are counted per page; a window of w
-    fills w / 64 pages of ``BwAdapter``'s default capacity."""
-    st = calibrate.service_times_bw(cal)
+def _simulate_bw(res: ibwj.JoinResult, w: int, n_threads: int) -> SimResult:
+    """Simulate the IBWJ join over one shared Bw-Tree-like index, with the
+    service times of the calibration run ``res``, on the paper's machine.
+    CAS conflicts are counted per page; a window of w fills w / 64 pages
+    of ``BwAdapter``'s default capacity."""
+    st = calibrate.service_times(res)
     return _on_paper_machine(
         lambda p: simulate(
             SimConfig(n_threads=p, n_tuples=N_SIM_TUPLES, mode="bw",
@@ -101,35 +102,34 @@ def _simulate_bw(cal: calibrate.Calibration, w: int, n_threads: int) -> SimResul
 _CAL_CACHE: dict[tuple, tuple] = {}
 
 
-def _pim_calibration(
-    w: int, d_i: int, merge_ratio: float, match_rate: float, n_process: int
-):
-    """Cached (calibration, service_times, n_partitions) for one config.
-    ``n_partitions`` is the sub-index count of the calibration run's
-    PIM-Tree: after the 2w prefill its T_S holds the w-element window.
+def _pim_calibration(w: int, d_i: int, merge_ratio: float, match_rate: float):
+    """Cached (calibration run, service_times, n_partitions) for one
+    config, calibrated at ``calibrate.measure``'s one length, so every
+    table that simulates a config shares one run. ``n_partitions`` is the
+    sub-index count of the calibration run's PIM-Tree: after the 2w
+    prefill its T_S holds the w-element window.
 
     When the calibration window is too short to see a merge, the merge
     interval comes from the threshold analytically (one merge per m*w
     own-stream inserts per index = every ~m*w global tuples overall) and
     the merge duration from a directly timed rebuild.
     """
-    key = (w, d_i, merge_ratio, match_rate, n_process)
+    key = (w, d_i, merge_ratio, match_rate)
     if key not in _CAL_CACHE:
-        cal = calibrate.measure(
-            "pim",
-            w,
-            n_process=n_process,
-            match_rate=match_rate,
-            merge_ratio=merge_ratio,
-            insertion_depth=d_i,
-        )
-        st = calibrate.service_times_pim(cal)
+        built = []
+
+        def factory(win):
+            built.append(ibwj.PIMAdapter(win, merge_ratio, d_i))
+            return built[-1]
+
+        res = calibrate.measure(factory, w, match_rate=match_rate)
+        st = calibrate.service_times(res)
         if st.merge_interval == 0:
             st.merge_interval = max(1, int(merge_ratio * w))
             st.merge_duration = calibrate.measure_merge_cost(
                 w, merge_ratio, d_i
             )
-        _CAL_CACHE[key] = (cal, st, cal.n_subindexes)
+        _CAL_CACHE[key] = (res, st, built[0].idx.n_subindexes)
     return _CAL_CACHE[key]
 
 
@@ -144,10 +144,10 @@ def table_existing_approaches(scale: str = "full") -> pd.DataFrame:
     n = 16000 if scale == "full" else 4000
     rows = []
     for w in ws:
-        nl = calibrate.measure("nlwj", w, n_process=min(n, 6000))
-        bp = calibrate.measure("bplus", w, n_process=n)
-        bw = calibrate.measure("bw", w, n_process=min(n, 8000))
-        nl_p = nl.per_tuple
+        nl = calibrate.measure(ibwj.NLWJAdapter, w, n_process=min(n, 6000))
+        bp = calibrate.measure(ibwj.BPlusAdapter, w, n_process=n)
+        bw = calibrate.measure(ibwj.BwAdapter, w, n_process=min(n, 8000))
+        nl_p = nl.costs.per_tuple()
 
         def nlwj_rr(p):
             # NLWJ-RR: the O(w) scan parallelises perfectly across cores.
@@ -159,19 +159,21 @@ def table_existing_approaches(scale: str = "full") -> pd.DataFrame:
         def ibwj_rr(p):
             # IBWJ-RR: every core searches its local index, a window of
             # w/P, for every tuple.
-            local = calibrate.measure("bplus", max(256, w // p), n_process=n)
-            lp = local.per_tuple
+            local = calibrate.measure(
+                ibwj.BPlusAdapter, max(256, w // p), n_process=n
+            )
+            lp = local.costs.per_tuple()
             return simulate_round_robin(
-                p, lp["search"], bp.per_tuple["scan"],
+                p, lp["search"], bp.costs.per_tuple()["scan"],
                 lp["insert"], lp["delete"],
             )
 
         rows.append(
             {
                 "w": w,
-                "nlwj_st": nl.throughput_st,
+                "nlwj_st": nl.throughput,
                 "nlwj_rr_mt": _on_paper_machine(nlwj_rr, HW_THREADS),
-                "ibwj_bplus_st": bp.throughput_st,
+                "ibwj_bplus_st": bp.throughput,
                 "ibwj_rr_mt": _on_paper_machine(ibwj_rr, HW_THREADS),
                 "ibwj_bw_mt": _simulate_bw(bw, w, HW_THREADS).throughput,
             }
@@ -188,7 +190,7 @@ def table_insertion_depth_parallel(scale: str = "full") -> pd.DataFrame:
     for w in ws:
         row = {"w": w}
         for d in depths:
-            _, st, n_parts = _pim_calibration(w, d, 1.0, 2.0, 12000)
+            _, st, n_parts = _pim_calibration(w, d, 1.0, 2.0)
             row[f"d{d}"] = _simulate_pim(st, n_parts, HW_THREADS).throughput
             row[f"d{d}_nsub"] = n_parts
         rows.append(row)
@@ -208,7 +210,7 @@ def table_merge_ratio_parallel(scale: str = "full") -> pd.DataFrame:
         # duration vary with m. Calibrating per m would re-measure the
         # (m-independent) service times with +-10 % run noise and bury
         # the merge-frequency effect this sweep isolates.
-        _, base_st, n_parts = _pim_calibration(w, 2, 2**-3, 2.0, 12000)
+        _, base_st, n_parts = _pim_calibration(w, 2, 2**-3, 2.0)
         for m in ms:
             st = dataclasses.replace(
                 base_st,
@@ -226,7 +228,7 @@ def table_task_size(scale: str = "full") -> pd.DataFrame:
     """Figs. 10c/10d: throughput and latency vs task size 1..10."""
     w = 1 << (16 if scale == "full" else 13)
     sizes = list(range(1, 11)) if scale == "full" else [1, 8]
-    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 12000)
+    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
     rows = []
     for ts in sizes:
         sim = _simulate_pim(st, n_parts, HW_THREADS, task_size=ts)
@@ -247,7 +249,7 @@ def table_scalability(scale: str = "full") -> pd.DataFrame:
     overhead the paper measures (~40 % / ~26 %)."""
     w = 1 << (16 if scale == "full" else 13)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
-    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 12000)
+    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
     rows = []
     for self_join in (False, True):
         tag = "self" if self_join else "two_way"
@@ -286,14 +288,14 @@ def table_multithreading_efficiency(scale: str = "full") -> pd.DataFrame:
     )
     rows = []
     for w in ws:
-        bp = calibrate.measure("bplus", w, n_process=16000)
-        cal, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 20000)
-        bw = calibrate.measure("bw", w, n_process=8000)
+        bp = calibrate.measure(ibwj.BPlusAdapter, w, n_process=16000)
+        pim, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
+        bw = calibrate.measure(ibwj.BwAdapter, w, n_process=8000)
         rows.append(
             {
                 "w": w,
-                "bplus_st": bp.throughput_st,
-                "pim_st": cal.throughput_st,
+                "bplus_st": bp.throughput,
+                "pim_st": pim.throughput,
                 "bw_mt": _simulate_bw(bw, w, HW_THREADS).throughput,
                 "pim_mt": _simulate_pim(st, n_parts, HW_THREADS).throughput,
                 "pim_mt_blocking": _simulate_pim(
@@ -316,7 +318,7 @@ def table_selfjoin(scale: str = "full") -> pd.DataFrame:
             lambda win: ibwj.PIMAdapter(win, 1.0, 2), w,
             merge_ratio=1.0, self_join=True,
         ).throughput
-        _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 12000)
+        _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
         sim = _simulate_pim(st, n_parts, HW_THREADS)
         rows.append(
             {
@@ -339,14 +341,14 @@ def table_match_rate_parallel(scale: str = "full") -> pd.DataFrame:
     rates = [2**-2, 2**2, 2**6, 2**10] if scale == "full" else [1.0]
     rows = []
     for r in rates:
-        cal, st, n_parts = _pim_calibration(w, 2, 1.0, r, 10000)
+        res, st, n_parts = _pim_calibration(w, 2, 1.0, r)
         sim = _simulate_pim(st, n_parts, HW_THREADS)
         rows.append(
             {
                 "match_rate": r,
                 "pim_mt": sim.throughput,
-                "pim_st": cal.throughput_st,
-                "mt_advantage": sim.throughput / cal.throughput_st,
+                "pim_st": res.throughput,
+                "mt_advantage": sim.throughput / res.throughput,
             }
         )
     return pd.DataFrame(rows)
@@ -361,7 +363,7 @@ def table_drift_throughput(scale: str = "full") -> pd.DataFrame:
     from repro.bench.tables_single import table_drift_insert_distribution
 
     dist = table_drift_insert_distribution(scale)
-    _, st, n_parts = _pim_calibration(w, 3, 1.0, 2.0, 12000)
+    _, st, n_parts = _pim_calibration(w, 3, 1.0, 2.0)
     rows = []
     for r in rs:
         share = float(dist.loc[dist["r"] == r, "max_share"].iloc[0])
@@ -501,7 +503,7 @@ def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
     n_seen = 2 * w + res.n_processed  # prefill + timed tuples
     per_tuple_load = loads / n_seen
     per_tuple_store = max(stores / n_seen, 1.0)
-    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0, 10000)
+    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
     rows = []
     for p in threads:
         sim = _simulate_pim(st, n_parts, p)

@@ -145,7 +145,8 @@ def table_cost_breakdown(scale: str = "full") -> pd.DataFrame:
         n = _n_process(w) if scale == "full" else 6000
         for name, f in factories.items():
             res = steady_state(f, w, n_process=n, measure=True)
-            rows.append({"w": w, "index": name, **res.costs.per_tuple_us()})
+            us = {k: v * 1e6 for k, v in res.costs.per_tuple().items()}
+            rows.append({"w": w, "index": name, **us})
     return pd.DataFrame(rows)
 
 

@@ -41,8 +41,7 @@ class ServiceTimes:
     """Per-tuple service times in seconds (calibrated, not guessed)."""
 
     lock_free: float  # T_S descent + T_S leaf scan + bookkeeping
-    locked: float  # sub-index seek/scan/insert under the partition lock
-    delete: float = 0.0  # only delete-based indexes (B+, RR, Bw)
+    locked: float  # sub-index seek/scan/insert/delete under the partition lock
     task_acquire: float = 2e-6  # queue mutex hold per task
     merge_duration: float = 0.0  # one merge rebuild
     merge_interval: int = 0  # tuples between merges (0 = never)
@@ -150,11 +149,10 @@ def simulate(cfg: SimConfig, st: ServiceTimes, keep_trace: bool = False) -> SimR
             pi = parts[j]
             s = max(t, part_free[pi])
             lock_wait += s - t
-            hold = st.locked + st.delete
-            part_free[pi] = s + hold
-            t = s + hold
+            part_free[pi] = s + st.locked
+            t = s + st.locked
         else:  # bw
-            t += (st.locked + st.delete) * cas_mult
+            t += st.locked * cas_mult
         since_merge += 1
         if st.merge_interval and since_merge >= st.merge_interval:
             since_merge = 0

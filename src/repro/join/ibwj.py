@@ -1,11 +1,12 @@
 """Single-threaded Index-Based Window Join driver (paper §2).
 
 Processes an interleaved arrival sequence tuple-by-tuple: (1) probe the
-opposite stream's index for band matches, (2) retire the expired tuple
-from this stream's index, (3) insert the new tuple (Eq. 1). The index
-behaviour is pluggable through small adapters so one driver exercises
-every approach the paper compares: B+-Tree, chained index (both
-variants), Bw-Tree-like, NLWJ, IM-Tree and PIM-Tree.
+opposite stream's index for band matches, (2) delete the expired tuple
+from this stream's index, if that index deletes per tuple, (3) insert
+the new tuple (Eq. 1). The index behaviour is pluggable through small
+adapters so one driver exercises every approach the paper compares:
+B+-Tree, chained index (both variants), Bw-Tree-like, NLWJ, IM-Tree and
+PIM-Tree.
 
 With ``measure=True`` the driver accumulates per-step wall time —
 search, scan, insert, delete, merge — which backs the Fig. 9b cost
@@ -42,10 +43,11 @@ class StepCosts:
     n_matches: int = 0
     n_merges: int = 0
 
-    def per_tuple_us(self) -> dict[str, float]:
+    def per_tuple(self) -> dict[str, float]:
+        """Seconds per processed tuple of each step."""
         n = max(1, self.n_tuples)
         return {
-            k: getattr(self, k) / n * 1e6
+            k: getattr(self, k) / n
             for k in ("search", "scan", "insert", "delete", "merge")
         }
 
@@ -54,15 +56,17 @@ class _Adapter:
     """One sliding window's index + expiry policy. ``pos`` is the
     per-stream arrival position (spos). ``maskable``: a run where only
     some rows insert (``run_ibwj``'s ``owner``) stays exact and keeps the
-    index window-sized."""
+    index window-sized.
+
+    An index that deletes each expired tuple (B+, Bw) defines
+    ``retire(expired_key, expired_pos)``; the others drop expired tuples
+    by position, in ``maintain`` or in the probe's ``min_pos`` filter,
+    and define no ``retire``."""
 
     maskable = True
 
     def insert(self, key: int, pos: int) -> None:
         raise NotImplementedError
-
-    def retire(self, expired_key: int, expired_pos: int) -> None:
-        """Remove/disable the tuple that just left the window."""
 
     def maintain(self, min_pos: int, costs: StepCosts, measure: bool) -> None:
         """Periodic maintenance (merges); called after every insert."""
@@ -231,16 +235,6 @@ class IMAdapter(PIMAdapter):
         super().__init__(window, merge_ratio, insertion_depth=0, use_locks=False)
 
 
-ADAPTERS = {
-    "bplus": BPlusAdapter,
-    "chain": ChainAdapter,
-    "bw": BwAdapter,
-    "nlwj": NLWJAdapter,
-    "im": IMAdapter,
-    "pim": PIMAdapter,
-}
-
-
 @dataclass
 class JoinResult:
     pairs: list[tuple[int, int]] | None
@@ -304,10 +298,11 @@ def run_ibwj(
     win = {"R": w_r, "S": w_s}
     own = {"R": idx_r, "S": idx_s}
     opp = {"R": idx_s, "S": idx_r}
-    # Key by (side, spos) to retire expired tuples from delete-based
-    # indexes; gpos by (side, spos) names the earlier tuple of a pair, so
-    # runs without pairs (steady-state tables, benchmarks) skip it.
-    key_of = by_spos(seq, "x")
+    # Key by (side, spos) to retire expired tuples, built only for an
+    # index that deletes them; gpos by (side, spos) names the earlier
+    # tuple of a pair, so runs without pairs (steady-state tables,
+    # benchmarks) skip it.
+    key_of = by_spos(seq, "x") if hasattr(idx_r, "retire") else None
     gpos_of = by_spos(seq, "gpos") if collect_pairs else None
 
     pairs: list[tuple[int, int]] | None = [] if collect_pairs else None
@@ -350,7 +345,7 @@ def run_ibwj(
         if owners is not None and not owners[t]:
             continue
         # Step 2 — retire the tuple that falls out of this window.
-        if spos > w_own:
+        if key_of is not None and spos > w_own:
             epos = spos - w_own
             ekey = key_of[side][epos]
             if measure:

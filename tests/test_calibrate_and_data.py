@@ -3,10 +3,11 @@ the calibration bridge (measurements -> simulator service times)."""
 import pytest
 
 from repro.bench.calibrate import (
+    LOCK_FREE_SEARCH_SHARE,
     measure,
-    service_times_bw,
-    service_times_pim,
+    service_times,
 )
+from repro.concurrency.simulator import SimConfig, simulate
 from repro.bench.tables_single import steady_state
 from repro.join import ibwj
 from repro.join.streams import diff_for_match_rate, gen_stream, reference_pairs
@@ -34,47 +35,74 @@ def test_steady_state_matches_oracle(w_r, w_s, self_join):
 
 
 @pytest.fixture(scope="module")
-def pim_cal():
+def pim_run():
     # n_process must cover >= 1 merge cycle per stream inside the timed
     # region (threshold = m*w own-stream inserts).
-    return measure("pim", 1 << 12, n_process=6000, merge_ratio=0.25)
+    return measure(
+        lambda win: ibwj.PIMAdapter(win, 0.25), 1 << 12, n_process=6000
+    )
 
 
-def test_measure_returns_positive_costs(pim_cal):
-    per = pim_cal.per_tuple
+def test_measure_returns_positive_costs(pim_run):
+    per = pim_run.costs.per_tuple()
     assert set(per) == {"search", "scan", "insert", "delete", "merge"}
     assert per["search"] > 0 and per["insert"] > 0
-    assert pim_cal.throughput_st > 0
-    assert pim_cal.n_matches > 0
+    assert pim_run.throughput > 0
+    assert pim_run.n_matches > 0
 
 
-def test_measure_merge_stats(pim_cal):
-    assert pim_cal.merge_duration > 0
-    assert pim_cal.merge_interval > 0
+def test_measure_merge_stats(pim_run):
+    st = service_times(pim_run)
+    assert st.merge_duration > 0
+    assert st.merge_interval > 0
 
 
-def test_service_times_pim_mapping(pim_cal):
-    st = service_times_pim(pim_cal)
+def test_pim_service_times(pim_run):
+    st = service_times(pim_run)
+    per = pim_run.costs.per_tuple()
     assert st.lock_free > 0 and st.locked > 0
-    assert st.delete == 0.0
-    assert st.merge_duration == pim_cal.merge_duration
+    assert per["delete"] == 0.0  # disposal happens inside the merge
+    c = pim_run.costs
+    assert st.merge_duration == c.merge / c.n_merges
     # lock_free + locked covers the measured index steps plus the
     # harness driver overhead (so a 1-thread simulation reproduces the
     # measured single-threaded throughput).
-    total_measured = sum(
-        pim_cal.per_tuple[k] for k in ("search", "scan", "insert")
-    )
+    total_measured = sum(per[k] for k in ("search", "scan", "insert"))
     assert st.lock_free + st.locked >= total_measured * (1 - 1e-6)
-    assert st.lock_free + st.locked <= 1.0 / pim_cal.throughput_st * 1.01
+    assert st.lock_free + st.locked <= 1.0 / pim_run.throughput * 1.01
 
 
-def test_service_times_bw_mapping():
-    cal = measure("bw", 1 << 10, n_process=1500)
-    st = service_times_bw(cal)
-    assert st.delete > 0  # Bw-Tree retires expired tuples individually
+def test_one_thread_simulation_takes_the_calibration_run_time():
+    """Every measured second of a calibration run lands in one service
+    time, merges included: one simulated thread over the run's own
+    tuples takes the run's per-tuple time plus the task acquisition the
+    simulator adds."""
+    res = measure(
+        lambda win: ibwj.PIMAdapter(win, 0.25), 1 << 10, n_process=6000
+    )
+    assert res.costs.n_merges > 1
+    st = service_times(res)
+    cfg = SimConfig(n_threads=1, n_tuples=res.n_processed)
+    sim = simulate(cfg, st)
+    assert sim.n_merges == res.costs.n_merges
+    expected = res.elapsed / res.n_processed + st.task_acquire / cfg.task_size
+    assert sim.makespan / res.n_processed == pytest.approx(expected, rel=0.005)
+
+
+def test_bw_service_times():
+    res = measure(ibwj.BwAdapter, 1 << 10, n_process=1500)
+    per = res.costs.per_tuple()
+    st = service_times(res)
+    assert per["delete"] > 0  # Bw-Tree retires expired tuples individually
+    # ... as part of the CAS-protected page update
+    assert st.locked == pytest.approx(
+        per["search"] * (1 - LOCK_FREE_SEARCH_SHARE)
+        + per["insert"] + per["delete"]
+    )
+    assert st.merge_interval == 0 and st.merge_duration == 0.0
 
 
 def test_measure_bplus_has_delete_cost():
-    cal = measure("bplus", 1 << 10, n_process=1500)
-    assert cal.per_tuple["delete"] > 0
-    assert cal.per_tuple["merge"] == 0.0
+    per = measure(ibwj.BPlusAdapter, 1 << 10, n_process=1500).costs.per_tuple()
+    assert per["delete"] > 0
+    assert per["merge"] == 0.0

@@ -283,8 +283,25 @@ def test_measure_mode_collects_step_costs():
     assert c.search > 0 and c.scan >= 0 and c.insert > 0
     assert c.merge > 0 and c.n_merges > 0
     assert c.search + c.scan + c.insert + c.delete + c.merge <= res.elapsed * 1.2
-    per = c.per_tuple_us()
+    per = c.per_tuple()
     assert set(per) == {"search", "scan", "insert", "delete", "merge"}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_measure_mode_times_delete_only_where_an_index_deletes(name):
+    """B+ and Bw delete each expired tuple; the other indexes drop
+    expired tuples by position, so the driver neither calls nor times a
+    delete for them."""
+    w = 256
+    seq = gen_stream(3000, seed=19)
+    res = ibwj.run_ibwj(
+        seq, w, w, diff_for_match_rate(2.0, w), FACTORIES[name],
+        collect_pairs=False, measure=True,
+    )
+    if name in ("bplus", "bw"):
+        assert res.costs.delete > 0
+    else:
+        assert res.costs.delete == 0.0
 
 
 def test_measure_mode_same_results_as_fast_mode():

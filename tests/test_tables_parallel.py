@@ -64,6 +64,6 @@ def test_pim_calibration_subindexes_are_the_w_element_ts_nodes(d_i):
     """The sub-index count comes from the calibration run's own PIM-Tree,
     whose T_S holds the w-element window after the 2w prefill."""
     w = 1 << 12
-    n_parts = tp._pim_calibration(w, d_i, 1.0, 2.0, 400)[2]
+    n_parts = tp._pim_calibration(w, d_i, 1.0, 2.0)[2]
     ts = ImmutableBTree(np.arange(w), np.arange(w))
     assert n_parts == len(ts.partition_bounds(d_i)) > 1
