@@ -14,7 +14,6 @@ breakdown and calibrates the concurrency simulator.
 """
 from __future__ import annotations
 
-import gc
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from repro.baselines.chained_index import ChainedIndex
 from repro.baselines.nlwj import NLWJWindow
 from repro.core.bplus_tree import BPlusTree
 from repro.core.pim_tree import PIMTree
-from repro.join.streams import arrival_columns, by_spos
+from repro.join.streams import arrival_columns, by_spos, gc_deferred
 
 
 @dataclass
@@ -308,64 +307,60 @@ def run_ibwj(
     pairs: list[tuple[int, int]] | None = [] if collect_pairs else None
     costs = StepCosts()
     n_matches = 0
-    # Generational GC pauses scan every live tree node and would land on
-    # arbitrary approaches; collections are deferred for the run so the
+    # Cyclic GC is deferred for the run (``gc_deferred``), so the
     # comparison measures index work, not allocator luck.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    t_start = time.perf_counter()
+    with gc_deferred():
+        t_start = time.perf_counter()
 
-    for t in range(n):
-        if t == warmup:
-            costs = StepCosts()  # warmup ops are excluded from the breakdown
-            t_start = time.perf_counter()
-        side = sides[t]
-        spos = sposs[t]
-        x = xs[t]
-        opp_side = side if self_join else ("S" if side == "R" else "R")
-        w_opp = win[opp_side]
-        w_own = win[side]
-        # Step 1 — probe the opposite window for band matches.
-        min_pos = opps[t] - w_opp + 1
-        lo, hi = x - diff, x + diff
-        if t < warmup and not probe_during_warmup:
-            matches = ()
-        elif measure:
-            matches, ts, tc = opp[side].probe_split(lo, hi, min_pos)
-            costs.search += ts
-            costs.scan += tc
-        else:
-            matches = opp[side].probe(lo, hi, min_pos)
-        n_matches += len(matches)
-        if pairs is not None and t >= warmup:
-            g = gposs[t]
-            olist = gpos_of[opp_side]
-            for _, mpos in matches:
-                pairs.append((g, olist[mpos]))
-        if owners is not None and not owners[t]:
-            continue
-        # Step 2 — retire the tuple that falls out of this window.
-        if key_of is not None and spos > w_own:
-            epos = spos - w_own
-            ekey = key_of[side][epos]
+        for t in range(n):
+            if t == warmup:
+                costs = StepCosts()  # warmup ops are excluded from the breakdown
+                t_start = time.perf_counter()
+            side = sides[t]
+            spos = sposs[t]
+            x = xs[t]
+            opp_side = side if self_join else ("S" if side == "R" else "R")
+            w_opp = win[opp_side]
+            w_own = win[side]
+            # Step 1 — probe the opposite window for band matches.
+            min_pos = opps[t] - w_opp + 1
+            lo, hi = x - diff, x + diff
+            if t < warmup and not probe_during_warmup:
+                matches = ()
+            elif measure:
+                matches, ts, tc = opp[side].probe_split(lo, hi, min_pos)
+                costs.search += ts
+                costs.scan += tc
+            else:
+                matches = opp[side].probe(lo, hi, min_pos)
+            n_matches += len(matches)
+            if pairs is not None and t >= warmup:
+                g = gposs[t]
+                olist = gpos_of[opp_side]
+                for _, mpos in matches:
+                    pairs.append((g, olist[mpos]))
+            if owners is not None and not owners[t]:
+                continue
+            # Step 2 — retire the tuple that falls out of this window.
+            if key_of is not None and spos > w_own:
+                epos = spos - w_own
+                ekey = key_of[side][epos]
+                if measure:
+                    t0 = time.perf_counter()
+                    own[side].retire(ekey, epos)
+                    costs.delete += time.perf_counter() - t0
+                else:
+                    own[side].retire(ekey, epos)
+            # Step 3 — insert the new tuple, then maintenance (merges).
             if measure:
                 t0 = time.perf_counter()
-                own[side].retire(ekey, epos)
-                costs.delete += time.perf_counter() - t0
+                own[side].insert(x, spos)
+                costs.insert += time.perf_counter() - t0
             else:
-                own[side].retire(ekey, epos)
-        # Step 3 — insert the new tuple, then maintenance (merges).
-        if measure:
-            t0 = time.perf_counter()
-            own[side].insert(x, spos)
-            costs.insert += time.perf_counter() - t0
-        else:
-            own[side].insert(x, spos)
-        own[side].maintain(spos - w_own + 1, costs, measure)
+                own[side].insert(x, spos)
+            own[side].maintain(spos - w_own + 1, costs, measure)
 
-    elapsed = time.perf_counter() - t_start
-    if gc_was_enabled:
-        gc.enable()
+        elapsed = time.perf_counter() - t_start
     costs.n_tuples = n - warmup
     costs.n_matches = n_matches
     return JoinResult(pairs, n_matches, n - warmup, elapsed, costs)

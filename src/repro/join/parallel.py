@@ -55,6 +55,24 @@ flags, the edge advances once and the merge threshold is checked once.
 Lookups read the index reference without that lock (a reference read is
 atomic under the GIL): they snapshot the edge first, so the tree they
 read holds every position below the snapshot.
+
+A thread that parks a batch behind a merge then yields the interpreter
+once (``time.sleep(0)``). Merge phase 1 (``PIMTree.merged_copy``)
+releases the GIL inside its numpy calls; a worker takes it, and the
+merging thread would otherwise wait a whole switch interval (5 ms) to
+resume while every insert of its stream parks and lookups scan the
+parked region linearly. On a 4-core box (w = 2^10, m = 1/4, 2 or 4
+threads) phase 1 needed a median 0.2-0.4 ms of thread CPU but took
+10.5-17 ms wall at the 90th percentile; with the yield, 1.1-2.3 ms. The
+yield hands the interpreter back, usually to the merger, so phase 1 ends
+before more tuples pile up behind it. No thread waits for the merge, and
+parked tuples stay non-indexed until phase 2 (§4.2). With free-running
+cores it costs one syscall per parked batch.
+
+Cyclic GC is deferred while the workers run (``streams.gc_deferred``):
+a gen-1 or gen-2 pass stalled every worker for up to 33 ms, and a merge
+it landed in kept its stream's inserts parked meanwhile. The one pass
+owed fires as GC is restored, inside the timed region.
 """
 from __future__ import annotations
 
@@ -66,7 +84,7 @@ import numpy as np
 import pandas as pd
 
 from repro.core.pim_tree import PIMTree
-from repro.join.streams import arrival_columns, by_spos
+from repro.join.streams import arrival_columns, by_spos, gc_deferred
 
 # A window scan of at least this many positions filters the key array
 # with one numpy mask instead of walking the key list: numpy's fixed cost
@@ -290,6 +308,14 @@ class ParallelIBWJ:
                     for x, p in batch:
                         insert(x, p)
             if parked:
+                # Hand the interpreter to a waiting thread, usually the
+                # merger: phase 1's numpy calls (``merge_sorted``) release
+                # the GIL, and without this yield the merger waits a whole
+                # 5 ms switch interval to get it back while this stream's
+                # inserts park and lookups scan them linearly (module
+                # docstring). Nothing blocks on the merge: the tuples
+                # stay parked until phase 2, as §4.2 says.
+                time.sleep(0)
                 continue
             indexed = st.indexed
             for _, p in batch:
@@ -396,10 +422,13 @@ class ParallelIBWJ:
             threading.Thread(target=worker, daemon=True)
             for _ in range(self.n_threads)
         ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+        # GC deferred while the workers run (module docstring); the pass
+        # owed fires on leaving the block, inside the timed region.
+        with gc_deferred():
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
         self._propagate()  # drain any tail left by try-lock skips
         elapsed = time.perf_counter() - t0
         if errors:

@@ -1,5 +1,7 @@
 """Oracle-equivalence tests for the single-threaded IBWJ driver across
 every index adapter and workload shape the paper evaluates."""
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -239,6 +241,26 @@ def test_gpos_map_is_built_only_for_pairs(collect_pairs, monkeypatch):
     )
     assert built == (["x", "gpos"] if collect_pairs else ["x"])
     assert (res.pairs is not None) == collect_pairs
+
+
+def test_gc_is_deferred_in_the_run_and_restored_after_a_failure():
+    """Cyclic GC is off while the driver loops, and on again after a run
+    whose index raised mid-stream."""
+    seen = []
+
+    class FailingPIM(ibwj.PIMAdapter):
+        def insert(self, x, pos):
+            seen.append(gc.isenabled())
+            if pos == 100:
+                raise RuntimeError("insert failed")
+            super().insert(x, pos)
+
+    seq = gen_stream(400, seed=24)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="insert failed"):
+        ibwj.run_ibwj(seq, 64, 64, 1000, lambda w: FailingPIM(w, 0.25, 2))
+    assert len(seen) >= 100 and not any(seen)
+    assert gc.isenabled()
 
 
 def test_warmup_excludes_pairs_and_time():

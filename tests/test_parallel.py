@@ -1,6 +1,7 @@
 """Correctness tests for the §4 multithreaded join: no duplicated or
 missing results under real thread interleaving, ordered propagation,
 edge-tuple and nonblocking-merge safety."""
+import gc
 import sys
 import threading
 from collections import defaultdict
@@ -190,19 +191,25 @@ def test_scan_matches_brute_force(length, first):
         assert hit_keys.count(lo) > 1 and hit_keys.count(hi) > 1
 
 
-def test_parked_batch_stays_non_indexed():
+def test_parked_batch_stays_non_indexed(monkeypatch):
     """While one stream merges, a task's tuples of that stream are all
-    parked in arrival order, stay non-indexed and hold its edge; the
-    task's tuples of the other stream are indexed as usual."""
+    parked in arrival order, stay non-indexed and hold its edge, and the
+    thread yields the interpreter once (``time.sleep(0)``) so the merger
+    can finish; the task's tuples of the other stream are indexed as
+    usual, with no yield."""
+    sleeps = []
+    monkeypatch.setattr("repro.join.parallel.time.sleep", sleeps.append)
     w, task_size = 64, 8
     seq = gen_stream(64, seed=15)
     j = ParallelIBWJ(seq, w, w, diff_for_match_rate(2.0, w), task_size=task_size)
     j.sides, j.sposs, j.xs, j.opps, j.gposs = arrival_columns(seq)
     j._index_update(0, task_size)
+    assert sleeps == []
     r, s = j.state["R"], j.state["S"]
     assert (r.edge, s.edge) == (5, 5)
     s.merging = True
     j._index_update(task_size, 2 * task_size)
+    assert sleeps == [0]  # the parked S batch; the indexed R batch never
     task = range(task_size, 2 * task_size)
     parked = [(j.xs[t], j.sposs[t]) for t in task if j.sides[t] == "S"]
     assert [p for _, p in parked] == [5, 6, 7, 8]
@@ -212,6 +219,30 @@ def test_parked_batch_stays_non_indexed():
     assert s.edge == 5 and len(s.index) == 4
     assert all(r.indexed[p] for p in range(1, 9))
     assert r.edge == 9 and len(r.index) == 8
+
+
+@pytest.mark.parametrize("n_threads", [1, 4])
+def test_gc_is_deferred_in_the_run_and_restored_after_a_worker_fails(n_threads):
+    """Cyclic GC is off while the workers run, and on again after a run
+    whose worker thread raised."""
+    w = 64
+    seq = gen_stream(600, seed=17)
+    j = ParallelIBWJ(seq, w, w, diff_for_match_rate(2.0, w), n_threads=n_threads)
+    seen = []
+    update = j._index_update
+
+    def failing_update(a, b):
+        seen.append(gc.isenabled())
+        if a >= 300:
+            raise RuntimeError("index update failed")
+        update(a, b)
+
+    j._index_update = failing_update
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="index update failed"):
+        j.run()
+    assert len(seen) >= 300 // j.task_size and not any(seen)
+    assert gc.isenabled()
 
 
 @pytest.mark.parametrize("self_join", [False, True], ids=["two_way", "self_join"])
@@ -406,9 +437,12 @@ def test_run_time_is_linear_in_stream_length():
     assert ratio < 24, f"4096 tuples took {ratio:.1f}x as long as 512"
 
 
-def test_counters_zero_without_concurrency():
-    """One thread never leaves the edge behind a window head and never
-    inserts during a merge."""
+def test_counters_zero_without_concurrency(monkeypatch):
+    """One thread never leaves the edge behind a window head, never
+    inserts during a merge, and so never yields the interpreter to one:
+    its merges run in the claiming thread."""
+    sleeps = []
+    monkeypatch.setattr("repro.join.parallel.time.sleep", sleeps.append)
     w = 64
     seq = gen_stream(1500, seed=13)
     diff = diff_for_match_rate(2.0, w)
@@ -416,3 +450,4 @@ def test_counters_zero_without_concurrency():
     assert res.n_merges > 0
     assert res.scanned_positions == 0
     assert res.deferred_inserts == 0
+    assert sleeps == []

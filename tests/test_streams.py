@@ -1,4 +1,6 @@
 """Tests for the stream workload generators and the oracle SQL."""
+import gc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from repro.join.streams import (
     KEY_SPACE,
     band_join_sql,
     diff_for_match_rate,
+    gc_deferred,
     gen_stream,
     reference_pairs,
     shifting_gaussian_stream,
@@ -127,3 +130,21 @@ def test_shifting_gaussian_r0_is_stationary():
 def test_band_join_sql_table_name():
     sql = band_join_sql(10, 10, 5, table="foo")
     assert "FROM foo e JOIN foo l" in sql
+
+
+def test_gc_deferred_restores_the_previous_state():
+    """GC is off inside the block and back to its prior state after it,
+    also when the block raises or GC was already off."""
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError):
+        with gc_deferred():
+            assert not gc.isenabled()
+            raise RuntimeError
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with gc_deferred():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
