@@ -52,18 +52,18 @@ class BwTreeLike:
         self.pages: list[_Page] = [_Page(e, e)]
         self.bounds: list[int] = []  # bounds[i] = max key routed to pages[i]
         self._n = 0
-        self.n_consolidations = 0
-        self.delta_visits = 0  # delta records traversed by readers
 
     def __len__(self) -> int:
         return self._n
 
-    def _page_for(self, key: int) -> int:
+    def seek(self, key: int) -> int:
+        """Index of the page ``key`` routes to: the descent a reader
+        makes without a latch."""
         return bisect.bisect_left(self.bounds, key) if self.bounds else 0
 
     # -- mutation ---------------------------------------------------------
     def insert(self, key: int, pos: int) -> None:
-        i = self._page_for(key)
+        i = self.seek(key)
         page = self.pages[i]
         page.deltas.append((1, key, pos))
         self._n += 1
@@ -74,7 +74,7 @@ class BwTreeLike:
         # Duplicate keys may straddle a page boundary (the boundary key
         # equals ``key``); walk right while that holds, like a B+-Tree
         # leaf-chain walk over a duplicate run.
-        i = self._page_for(key)
+        i = self.seek(key)
         while i < len(self.pages):
             page = self.pages[i]
             if self._contains(page, key, pos):
@@ -93,7 +93,6 @@ class BwTreeLike:
     def _contains(self, page: _Page, key: int, pos: int) -> bool:
         alive = 0
         for op, k, p in reversed(page.deltas):
-            self.delta_visits += 1
             if k == key and p == pos:
                 alive += op
         if alive > 0:
@@ -137,7 +136,6 @@ class BwTreeLike:
     def _consolidate(self, i: int) -> None:
         page = self.pages[i]
         keys, poss = self._materialise(page)
-        self.n_consolidations += 1
         if len(keys) <= self.page_capacity:
             self.pages[i] = _Page(keys, poss, page.bound)
             return
@@ -162,11 +160,17 @@ class BwTreeLike:
     def search_range(
         self, lo: int, hi: int, min_pos: int = -1
     ) -> list[tuple[int, int]]:
+        """Pairs with lo <= key <= hi and pos >= min_pos: seek, then scan."""
+        return self.scan(self.seek(lo), lo, hi, min_pos)
+
+    def scan(
+        self, i: int, lo: int, hi: int, min_pos: int = -1
+    ) -> list[tuple[int, int]]:
+        """The page read: pages from ``i`` (a ``seek(lo)`` result) on,
+        each delta chain applied to its base, until one passes ``hi``."""
         out: list[tuple[int, int]] = []
-        i = self._page_for(lo)
         while i < len(self.pages):
             page = self.pages[i]
-            self.delta_visits += len(page.deltas)
             keys, poss = self._materialise(page)
             if len(keys):
                 a = int(np.searchsorted(keys, lo, side="left"))

@@ -6,23 +6,21 @@ single-threaded IBWJ driver with per-step timing enabled, and
 ``service_times`` maps its ``JoinResult`` to ``ServiceTimes`` by one rule
 for every index:
 
-- lock-free: a fixed share (``LOCK_FREE_SEARCH_SHARE``) of the search,
-  the result scan, and the driver's own per-tuple work;
-- locked: the rest of the search, the insert and the delete;
+- lock-free: the probe's search and scan, and the driver's own per-tuple
+  work;
+- locked: the probe's sub-index (T_I) part, the insert and the delete;
 - merge duration and interval from the run's merges.
 
-The paper's PIM-Tree holds a sub-index lock only for the B_i
-seek/scan/insert; the T_S descent and T_S leaf scan are lock-free. A
-Bw-Tree's descent to its page is latch-free, and the page update is the
-CAS-protected part. Our ``probe_split`` measures (search, scan) where
-'search' covers both descents, so the share splits it. The model only
-needs that share to first order (lock-held fractions shift the
-congestion knee, not its existence). Only the indexes that delete each
-expired tuple (B+, Bw) have a delete; PIM and IM dispose of expired
-tuples inside the merge. Every measured second of the run lands in one
-of the service times, so a one-thread simulation over the run's own
-tuples takes the run's own time, plus the task acquisition the simulator
-adds.
+Measure mode times the production probe's own parts (``ibwj`` adapters'
+``timed_probe``), so the split is the paper's: a PIM-Tree descends and
+scans T_S without a lock and holds a partition lock only for the B_i
+seek/scan (``PIMTree.search_subindexes``) and insert; a Bw-Tree's page
+descent and page read are latch-free, and only its page updates (insert,
+delete) are CAS-protected. Only the indexes that delete each expired
+tuple (B+, Bw) have a delete; PIM and IM dispose of expired tuples
+inside the merge. Every measured second of the run lands in one of the
+service times, so a one-thread simulation over the run's own tuples
+takes the run's own time, plus the task acquisition the simulator adds.
 """
 from __future__ import annotations
 
@@ -30,12 +28,9 @@ from repro.bench.tables_single import steady_state
 from repro.concurrency.simulator import ServiceTimes
 from repro.join import ibwj
 
-# Share of the measured 'search' that runs without a lock: the T_S
-# descent of a PIM-Tree, the descent to the page of a Bw-Tree. A guess,
-# not a measurement; ROADMAP item 4 plans to time both parts.
-LOCK_FREE_SEARCH_SHARE = 0.5
 # Extra lookup cost while a nonblocking merge runs (the longer
-# edge-to-head linear scan), as a multiple of the result scan.
+# edge-to-head linear scan), as a multiple of the measured scan step (for
+# a PIM-Tree, T_S's result scan).
 MERGE_SCAN_SURCHARGE = 2.0
 
 
@@ -55,14 +50,13 @@ def service_times(res: ibwj.JoinResult) -> ServiceTimes:
     """ServiceTimes of a ``measure`` run, by the module's one rule."""
     c = res.costs
     p = c.per_tuple()
-    share = LOCK_FREE_SEARCH_SHARE
     # The driver's own per-tuple work (loop bookkeeping, window updates)
     # is in the measured throughput, so it must be in the service times
     # too, or every simulated speedup is overstated by its share.
     driver = max(0.0, 1.0 / res.throughput - sum(p.values()))
     return ServiceTimes(
-        lock_free=p["search"] * share + p["scan"] + driver,
-        locked=p["search"] * (1 - share) + p["insert"] + p["delete"],
+        lock_free=p["search"] + p["scan"] + driver,
+        locked=p["subindex"] + p["insert"] + p["delete"],
         merge_duration=c.merge / c.n_merges if c.n_merges else 0.0,
         merge_interval=max(1, c.n_tuples) // c.n_merges if c.n_merges else 0,
         scan_surcharge=MERGE_SCAN_SURCHARGE * p["scan"],

@@ -10,6 +10,7 @@ as a cross-check of the simulator's scaling shape.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 import pandas as pd
@@ -99,38 +100,46 @@ def _simulate_bw(res: ibwj.JoinResult, w: int, n_threads: int) -> SimResult:
     )
 
 
-_CAL_CACHE: dict[tuple, tuple] = {}
+@functools.cache
+def _calibration(adapter, w: int, n_process: int) -> ibwj.JoinResult:
+    """``calibrate.measure(adapter, w, n_process=n_process)``, run once
+    per process, so T1 and T23 share their B+ and Bw runs."""
+    return calibrate.measure(adapter, w, n_process=n_process)
 
 
+@functools.cache
 def _pim_calibration(w: int, d_i: int, merge_ratio: float, match_rate: float):
-    """Cached (calibration run, service_times, n_partitions) for one
-    config, calibrated at ``calibrate.measure``'s one length, so every
-    table that simulates a config shares one run. ``n_partitions`` is the
-    sub-index count of the calibration run's PIM-Tree: after the 2w
-    prefill its T_S holds the w-element window.
+    """(calibration run, service_times, n_partitions, (bytes loaded,
+    bytes stored)) for one config, calibrated once per process at
+    ``calibrate.measure``'s one length, so every table that simulates a
+    config shares one run. ``n_partitions`` is the sub-index count of the
+    calibration run's PIM-Tree: after the 2w prefill its T_S holds the
+    w-element window. The byte counts are those of the run's trees
+    (prefill included), as they stand at its end.
 
     When the calibration window is too short to see a merge, the merge
     interval comes from the threshold analytically (one merge per m*w
     own-stream inserts per index = every ~m*w global tuples overall) and
     the merge duration from a directly timed rebuild.
     """
-    key = (w, d_i, merge_ratio, match_rate)
-    if key not in _CAL_CACHE:
-        built = []
+    built = []
 
-        def factory(win):
-            built.append(ibwj.PIMAdapter(win, merge_ratio, d_i))
-            return built[-1]
+    def factory(win):
+        built.append(ibwj.PIMAdapter(win, merge_ratio, d_i))
+        return built[-1]
 
-        res = calibrate.measure(factory, w, match_rate=match_rate)
-        st = calibrate.service_times(res)
-        if st.merge_interval == 0:
-            st.merge_interval = max(1, int(merge_ratio * w))
-            st.merge_duration = calibrate.measure_merge_cost(
-                w, merge_ratio, d_i
-            )
-        _CAL_CACHE[key] = (res, st, built[0].idx.n_subindexes)
-    return _CAL_CACHE[key]
+    res = calibrate.measure(factory, w, match_rate=match_rate)
+    st = calibrate.service_times(res)
+    if st.merge_interval == 0:
+        st.merge_interval = max(1, int(merge_ratio * w))
+        st.merge_duration = calibrate.measure_merge_cost(w, merge_ratio, d_i)
+    loads = stores = 0
+    for a in built:
+        loads += a.idx.t_s.bytes_loaded
+        loads += sum(b.bytes_loaded for b in a.idx.subindexes)
+        stores += sum(b.bytes_stored for b in a.idx.subindexes)
+        stores += len(a.idx.t_s) * 8 * a.idx.n_merges  # merge writes
+    return res, st, built[0].idx.n_subindexes, (loads, stores)
 
 
 def table_existing_approaches(scale: str = "full") -> pd.DataFrame:
@@ -145,8 +154,8 @@ def table_existing_approaches(scale: str = "full") -> pd.DataFrame:
     rows = []
     for w in ws:
         nl = calibrate.measure(ibwj.NLWJAdapter, w, n_process=min(n, 6000))
-        bp = calibrate.measure(ibwj.BPlusAdapter, w, n_process=n)
-        bw = calibrate.measure(ibwj.BwAdapter, w, n_process=min(n, 8000))
+        bp = _calibration(ibwj.BPlusAdapter, w, n)
+        bw = _calibration(ibwj.BwAdapter, w, min(n, 8000))
         nl_p = nl.costs.per_tuple()
 
         def nlwj_rr(p):
@@ -190,7 +199,7 @@ def table_insertion_depth_parallel(scale: str = "full") -> pd.DataFrame:
     for w in ws:
         row = {"w": w}
         for d in depths:
-            _, st, n_parts = _pim_calibration(w, d, 1.0, 2.0)
+            _, st, n_parts, _ = _pim_calibration(w, d, 1.0, 2.0)
             row[f"d{d}"] = _simulate_pim(st, n_parts, HW_THREADS).throughput
             row[f"d{d}_nsub"] = n_parts
         rows.append(row)
@@ -210,7 +219,7 @@ def table_merge_ratio_parallel(scale: str = "full") -> pd.DataFrame:
         # duration vary with m. Calibrating per m would re-measure the
         # (m-independent) service times with +-10 % run noise and bury
         # the merge-frequency effect this sweep isolates.
-        _, base_st, n_parts = _pim_calibration(w, 2, 2**-3, 2.0)
+        _, base_st, n_parts, _ = _pim_calibration(w, 2, 2**-3, 2.0)
         for m in ms:
             st = dataclasses.replace(
                 base_st,
@@ -228,7 +237,7 @@ def table_task_size(scale: str = "full") -> pd.DataFrame:
     """Figs. 10c/10d: throughput and latency vs task size 1..10."""
     w = 1 << (16 if scale == "full" else 13)
     sizes = list(range(1, 11)) if scale == "full" else [1, 8]
-    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
+    _, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
     rows = []
     for ts in sizes:
         sim = _simulate_pim(st, n_parts, HW_THREADS, task_size=ts)
@@ -249,7 +258,7 @@ def table_scalability(scale: str = "full") -> pd.DataFrame:
     overhead the paper measures (~40 % / ~26 %)."""
     w = 1 << (16 if scale == "full" else 13)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
-    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
+    _, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
     rows = []
     for self_join in (False, True):
         tag = "self" if self_join else "two_way"
@@ -288,9 +297,9 @@ def table_multithreading_efficiency(scale: str = "full") -> pd.DataFrame:
     )
     rows = []
     for w in ws:
-        bp = calibrate.measure(ibwj.BPlusAdapter, w, n_process=16000)
-        pim, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
-        bw = calibrate.measure(ibwj.BwAdapter, w, n_process=8000)
+        bp = _calibration(ibwj.BPlusAdapter, w, 16000)
+        pim, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
+        bw = _calibration(ibwj.BwAdapter, w, 8000)
         rows.append(
             {
                 "w": w,
@@ -318,7 +327,7 @@ def table_selfjoin(scale: str = "full") -> pd.DataFrame:
             lambda win: ibwj.PIMAdapter(win, 1.0, 2), w,
             merge_ratio=1.0, self_join=True,
         ).throughput
-        _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
+        _, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
         sim = _simulate_pim(st, n_parts, HW_THREADS)
         rows.append(
             {
@@ -341,7 +350,7 @@ def table_match_rate_parallel(scale: str = "full") -> pd.DataFrame:
     rates = [2**-2, 2**2, 2**6, 2**10] if scale == "full" else [1.0]
     rows = []
     for r in rates:
-        res, st, n_parts = _pim_calibration(w, 2, 1.0, r)
+        res, st, n_parts, _ = _pim_calibration(w, 2, 1.0, r)
         sim = _simulate_pim(st, n_parts, HW_THREADS)
         rows.append(
             {
@@ -363,7 +372,7 @@ def table_drift_throughput(scale: str = "full") -> pd.DataFrame:
     from repro.bench.tables_single import table_drift_insert_distribution
 
     dist = table_drift_insert_distribution(scale)
-    _, st, n_parts = _pim_calibration(w, 3, 1.0, 2.0)
+    _, st, n_parts, _ = _pim_calibration(w, 3, 1.0, 2.0)
     rows = []
     for r in rs:
         share = float(dist.loc[dist["r"] == r, "max_share"].iloc[0])
@@ -486,24 +495,11 @@ def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
     thread count grows (longer edge-to-head linear scans add loads)."""
     w = 1 << (16 if scale == "full" else 12)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
-    # Measure bytes per tuple from a single-threaded run.
-    adapters = []
-
-    def factory(win):
-        adapters.append(ibwj.PIMAdapter(win, 1.0, 2))
-        return adapters[-1]
-
-    res = steady_state(factory, w, n_process=12000)
-    loads = stores = 0
-    for a in adapters:
-        loads += a.idx.t_s.bytes_loaded
-        loads += sum(b.bytes_loaded for b in a.idx.subindexes)
-        stores += sum(b.bytes_stored for b in a.idx.subindexes)
-        stores += len(a.idx.t_s) * 8 * a.idx.n_merges  # merge writes
+    # Bytes per tuple from the calibration run's own trees.
+    res, st, n_parts, (loads, stores) = _pim_calibration(w, 2, 1.0, 2.0)
     n_seen = 2 * w + res.n_processed  # prefill + timed tuples
     per_tuple_load = loads / n_seen
     per_tuple_store = max(stores / n_seen, 1.0)
-    _, st, n_parts = _pim_calibration(w, 2, 1.0, 2.0)
     rows = []
     for p in threads:
         sim = _simulate_pim(st, n_parts, p)

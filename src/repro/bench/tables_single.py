@@ -131,9 +131,9 @@ def table_merge_ratio_single(
 
 
 def table_cost_breakdown(scale: str = "full") -> pd.DataFrame:
-    """Fig. 9b: per-tuple cost split (search/scan/insert/delete/merge, us)
-    for B+, IM and PIM at a small and a large window (paper 2^17/2^23;
-    ours 2^13/2^17)."""
+    """Fig. 9b: per-tuple cost split (search/scan/subindex/insert/delete/
+    merge, us) for B+, IM and PIM at a small and a large window (paper
+    2^17/2^23; ours 2^13/2^17)."""
     ws = [1 << 13, 1 << 17] if scale == "full" else [1 << 12]
     factories = {
         "bplus": lambda win: ibwj.BPlusAdapter(win),

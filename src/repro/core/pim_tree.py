@@ -139,19 +139,6 @@ class PIMTree:
     def needs_merge(self) -> bool:
         return self._n_i >= self.merge_threshold
 
-    def span(self, lo: int, hi: int) -> tuple[int, int]:
-        """First and last sub-index whose key range meets ``[lo, hi]``.
-
-        Bands are narrow relative to partition widths: when ``hi`` falls
-        inside ``lo``'s partition the second search is skipped (the
-        common case; mirrors Algorithm 2's range check).
-        """
-        b = self._bounds
-        i0 = bisect_left(b, lo)
-        if i0 == len(b) or hi <= b[i0]:
-            return i0, i0
-        return i0, bisect_left(b, hi, i0 + 1)
-
     # -- operations (Algorithm 1) -----------------------------------------
     def insert(self, key: int, pos: int) -> None:
         b = self._bounds
@@ -196,15 +183,24 @@ class PIMTree:
     def search_range(
         self, lo: int, hi: int, min_pos: int = -1
     ) -> list[tuple[int, int]]:
-        """Matches from T_S (expiry-filtered) and the covering sub-indexes.
+        """Matches from T_S (expiry-filtered, lock-free), then from the
+        covering sub-indexes (``search_subindexes``)."""
+        return self.search_subindexes(
+            lo, hi, min_pos, self.t_s.search_range(lo, hi, min_pos)
+        )
 
-        Walks the sub-indexes of ``span(lo, hi)`` under their locks — the
-        lock hand-off of Algorithm 2's linked-leaf scan, expressed per
-        partition.
+    def search_subindexes(
+        self, lo: int, hi: int, min_pos: int, out: list[tuple[int, int]]
+    ) -> list[tuple[int, int]]:
+        """Extend ``out`` with the matches of the sub-indexes whose key
+        ranges meet ``[lo, hi]`` and return it: the T_I part of a probe.
+
+        Walks those sub-indexes under their locks — the lock hand-off of
+        Algorithm 2's linked-leaf scan, expressed per partition.
         """
-        out = self.t_s.search_range(lo, hi, min_pos)
-        # span(lo, hi), inlined: a method call here costs the IM-Tree
-        # (D_I = 0, one sub-index) ~5 % of its probe time
+        # Bands are narrow relative to partition widths: when hi falls
+        # inside lo's partition the second search is skipped (the common
+        # case; mirrors Algorithm 2's range check).
         b = self._bounds
         i = bisect_left(b, lo) if b else 0
         last = i if i == len(b) or hi <= b[i] else bisect_left(b, hi, i + 1)

@@ -9,13 +9,14 @@ B+-Tree, chained index (both variants), Bw-Tree-like, NLWJ, IM-Tree and
 PIM-Tree.
 
 With ``measure=True`` the driver accumulates per-step wall time —
-search, scan, insert, delete, merge — which backs the Fig. 9b cost
-breakdown and calibrates the concurrency simulator.
+search, scan, subindex, insert, delete, merge — which backs the Fig. 9b
+cost breakdown and calibrates the concurrency simulator. A timed probe
+runs the production probe's own parts with a clock read between them;
+no step is timed on a copy of the code it stands for.
 """
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,10 +32,13 @@ from repro.join.streams import arrival_columns, by_spos, gc_deferred
 
 @dataclass
 class StepCosts:
-    """Accumulated wall time (s) and op counts per IBWJ step."""
+    """Accumulated wall time (s) and op counts per IBWJ step. A probe is
+    search (the seek or descent), scan (reading the result from there)
+    and, for PIM/IM, subindex (T_I's part, under the partition locks)."""
 
     search: float = 0.0
     scan: float = 0.0
+    subindex: float = 0.0
     insert: float = 0.0
     delete: float = 0.0
     merge: float = 0.0
@@ -47,7 +51,7 @@ class StepCosts:
         n = max(1, self.n_tuples)
         return {
             k: getattr(self, k) / n
-            for k in ("search", "scan", "insert", "delete", "merge")
+            for k in ("search", "scan", "subindex", "insert", "delete", "merge")
         }
 
 
@@ -60,7 +64,11 @@ class _Adapter:
     An index that deletes each expired tuple (B+, Bw) defines
     ``retire(expired_key, expired_pos)``; the others drop expired tuples
     by position, in ``maintain`` or in the probe's ``min_pos`` filter,
-    and define no ``retire``."""
+    and define no ``retire``.
+
+    ``timed_probe(lo, hi, min_pos, costs)`` is ``probe`` for measure
+    mode: it calls the parts ``probe`` is made of and adds each part's
+    wall time to one step of ``costs``."""
 
     maskable = True
 
@@ -72,14 +80,6 @@ class _Adapter:
 
     def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
         raise NotImplementedError
-
-    def probe_split(
-        self, lo: int, hi: int, min_pos: int
-    ) -> tuple[list[tuple[int, int]], float, float]:
-        """(matches, search_seconds, scan_seconds) — default: all 'search'."""
-        t0 = time.perf_counter()
-        out = self.probe(lo, hi, min_pos)
-        return out, time.perf_counter() - t0, 0.0
 
 
 class BPlusAdapter(_Adapter):
@@ -98,12 +98,14 @@ class BPlusAdapter(_Adapter):
     def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
         return self.tree.search_range(lo, hi, min_pos)
 
-    def probe_split(self, lo, hi, min_pos):
+    def timed_probe(self, lo, hi, min_pos, costs):
         t0 = time.perf_counter()
         leaf, i = self.tree.seek(lo)
         t1 = time.perf_counter()
         out = self.tree.scan(leaf, i, hi, min_pos)
-        return out, t1 - t0, time.perf_counter() - t1
+        costs.search += t1 - t0
+        costs.scan += time.perf_counter() - t1
+        return out
 
     def memory_bytes(self) -> int:
         return self.tree.memory_bytes()
@@ -124,6 +126,13 @@ class ChainAdapter(_Adapter):
     def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
         return self.idx.probe(lo, hi, min_pos)
 
+    def timed_probe(self, lo, hi, min_pos, costs):
+        # one search per sub-index of the chain, timed whole
+        t0 = time.perf_counter()
+        out = self.idx.probe(lo, hi, min_pos)
+        costs.search += time.perf_counter() - t0
+        return out
+
     def memory_bytes(self) -> int:
         return self.idx.memory_bytes()
 
@@ -143,6 +152,15 @@ class BwAdapter(_Adapter):
     def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
         return self.idx.search_range(lo, hi, min_pos)
 
+    def timed_probe(self, lo, hi, min_pos, costs):
+        t0 = time.perf_counter()
+        i = self.idx.seek(lo)
+        t1 = time.perf_counter()
+        out = self.idx.scan(i, lo, hi, min_pos)
+        costs.search += t1 - t0
+        costs.scan += time.perf_counter() - t1
+        return out
+
     def memory_bytes(self) -> int:
         return self.idx.memory_bytes()
 
@@ -161,10 +179,11 @@ class NLWJAdapter(_Adapter):
     def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
         return self.win.probe(lo, hi, min_pos)
 
-    def probe_split(self, lo, hi, min_pos):
+    def timed_probe(self, lo, hi, min_pos, costs):
         t0 = time.perf_counter()
-        out = self.probe(lo, hi, min_pos)
-        return out, 0.0, time.perf_counter() - t0  # pure scan
+        out = self.win.probe(lo, hi, min_pos)
+        costs.scan += time.perf_counter() - t0  # pure scan
+        return out
 
     def memory_bytes(self) -> int:
         return self.win.window * 8
@@ -196,31 +215,20 @@ class PIMAdapter(_Adapter):
     def probe(self, lo: int, hi: int, min_pos: int) -> list[tuple[int, int]]:
         return self.idx.search_range(lo, hi, min_pos)
 
-    def probe_split(self, lo, hi, min_pos):
-        """``search_range`` with its seeks timed as search and its leaf
-        scans as scan: the same span, empty-sub-index skip and locks."""
-        idx = self.idx
-        locked = idx.use_locks
+    def timed_probe(self, lo, hi, min_pos, costs):
+        # PIMTree.search_range's parts: T_S's seek and scan, then T_I's
+        t_s = self.idx.t_s
         t0 = time.perf_counter()
-        start = idx.t_s.find_start(lo)
-        i0, i1 = idx.span(lo, hi)
+        start = t_s.find_start(lo)
         t1 = time.perf_counter()
-        out = idx.t_s.scan(start, hi, min_pos)
-        search, scan = t1 - t0, time.perf_counter() - t1
-        for i in range(i0, i1 + 1):
-            if not idx.insert_counts[i]:
-                continue
-            b = idx.subindexes[i]
-            t0 = time.perf_counter()
-            with idx.locks[i] if locked else nullcontext():
-                if locked:
-                    idx.lock_acquisitions += 1
-                leaf, j = b.seek(lo)
-                t1 = time.perf_counter()
-                out.extend(b.scan(leaf, j, hi, min_pos))
-            search += t1 - t0
-            scan += time.perf_counter() - t1
-        return out, search, scan
+        out = t_s.scan(start, hi, min_pos)
+        t2 = time.perf_counter()
+        self.idx.search_subindexes(lo, hi, min_pos, out)
+        t3 = time.perf_counter()
+        costs.search += t1 - t0
+        costs.scan += t2 - t1
+        costs.subindex += t3 - t2
+        return out
 
     def memory_bytes(self) -> int:
         return self.idx.memory_bytes()
@@ -270,7 +278,8 @@ def run_ibwj(
     ``probe_during_warmup=False`` skips Step 1 while filling the window —
     the index state after warmup is identical (probes are read-only), so
     steady-state measurements are unaffected; it only avoids paying for
-    throwaway probes on large windows.
+    throwaway probes on large windows. ``measure=True`` times each step
+    into ``costs``, the probe through the adapter's ``timed_probe``.
 
     ``owner`` is a boolean array aligned with ``seq``'s rows; ``None``
     means every row inserts. A row with ``owner[t]`` False runs Step 1
@@ -328,9 +337,7 @@ def run_ibwj(
             if t < warmup and not probe_during_warmup:
                 matches = ()
             elif measure:
-                matches, ts, tc = opp[side].probe_split(lo, hi, min_pos)
-                costs.search += ts
-                costs.scan += tc
+                matches = opp[side].timed_probe(lo, hi, min_pos, costs)
             else:
                 matches = opp[side].probe(lo, hi, min_pos)
             n_matches += len(matches)

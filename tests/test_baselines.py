@@ -115,7 +115,8 @@ def test_bw_tree_pages_split_under_load():
     for p in range(1, 501):
         idx.insert(p, p)
     assert len(idx.pages) > 10
-    assert idx.n_consolidations > 0
+    # every chain that outgrew consolidate_at was consolidated
+    assert max(len(p.deltas) for p in idx.pages) <= idx.consolidate_at
 
 
 def test_bw_tree_delete():
@@ -143,15 +144,6 @@ def test_bw_tree_windowed_churn():
         ring[p] = k
     got = idx.search_range(0, 800)
     assert sorted(got) == sorted((k, p) for p, k in ring.items())
-
-
-def test_bw_tree_delta_chain_visits_counted():
-    idx = BwTreeLike(page_capacity=64, consolidate_at=16)
-    for p in range(1, 50):
-        idx.insert(p, p)
-    v0 = idx.delta_visits
-    idx.search_range(0, 100)
-    assert idx.delta_visits > v0
 
 
 def test_bw_tree_min_pos_filter():

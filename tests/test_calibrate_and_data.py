@@ -2,11 +2,7 @@
 the calibration bridge (measurements -> simulator service times)."""
 import pytest
 
-from repro.bench.calibrate import (
-    LOCK_FREE_SEARCH_SHARE,
-    measure,
-    service_times,
-)
+from repro.bench.calibrate import measure, service_times
 from repro.concurrency.simulator import SimConfig, simulate
 from repro.bench.tables_single import steady_state
 from repro.join import ibwj
@@ -45,8 +41,8 @@ def pim_run():
 
 def test_measure_returns_positive_costs(pim_run):
     per = pim_run.costs.per_tuple()
-    assert set(per) == {"search", "scan", "insert", "delete", "merge"}
-    assert per["search"] > 0 and per["insert"] > 0
+    assert set(per) == {"search", "scan", "subindex", "insert", "delete", "merge"}
+    assert per["search"] > 0 and per["subindex"] > 0 and per["insert"] > 0
     assert pim_run.throughput > 0
     assert pim_run.n_matches > 0
 
@@ -67,8 +63,10 @@ def test_pim_service_times(pim_run):
     # lock_free + locked covers the measured index steps plus the
     # harness driver overhead (so a 1-thread simulation reproduces the
     # measured single-threaded throughput).
-    total_measured = sum(per[k] for k in ("search", "scan", "insert"))
+    total_measured = sum(per[k] for k in ("search", "scan", "subindex", "insert"))
     assert st.lock_free + st.locked >= total_measured * (1 - 1e-6)
+    # the measured T_I part of each probe is held under the partition lock
+    assert st.locked == pytest.approx(per["subindex"] + per["insert"])
     assert st.lock_free + st.locked <= 1.0 / pim_run.throughput * 1.01
 
 
@@ -76,29 +74,28 @@ def test_one_thread_simulation_takes_the_calibration_run_time():
     """Every measured second of a calibration run lands in one service
     time, merges included: one simulated thread over the run's own
     tuples takes the run's per-tuple time plus the task acquisition the
-    simulator adds."""
-    res = measure(
-        lambda win: ibwj.PIMAdapter(win, 0.25), 1 << 10, n_process=6000
-    )
-    assert res.costs.n_merges > 1
-    st = service_times(res)
-    cfg = SimConfig(n_threads=1, n_tuples=res.n_processed)
-    sim = simulate(cfg, st)
-    assert sim.n_merges == res.costs.n_merges
-    expected = res.elapsed / res.n_processed + st.task_acquire / cfg.task_size
-    assert sim.makespan / res.n_processed == pytest.approx(expected, rel=0.005)
+    simulator adds. One Bw thread makes no CAS retries."""
+    pim = measure(lambda win: ibwj.PIMAdapter(win, 0.25), 1 << 10, n_process=6000)
+    assert pim.costs.n_merges > 1
+    bw = measure(ibwj.BwAdapter, 1 << 10, n_process=3000)
+    for mode, res in (("pim", pim), ("bw", bw)):
+        st = service_times(res)
+        cfg = SimConfig(n_threads=1, n_tuples=res.n_processed, mode=mode)
+        sim = simulate(cfg, st)
+        assert sim.n_merges == res.costs.n_merges
+        expected = res.elapsed / res.n_processed + st.task_acquire / cfg.task_size
+        assert sim.makespan / res.n_processed == pytest.approx(expected, rel=0.005)
 
 
 def test_bw_service_times():
+    """A Bw-Tree's page descent and page read are latch-free; only its
+    page updates, insert and delete, are CAS-protected."""
     res = measure(ibwj.BwAdapter, 1 << 10, n_process=1500)
     per = res.costs.per_tuple()
     st = service_times(res)
     assert per["delete"] > 0  # Bw-Tree retires expired tuples individually
-    # ... as part of the CAS-protected page update
-    assert st.locked == pytest.approx(
-        per["search"] * (1 - LOCK_FREE_SEARCH_SHARE)
-        + per["insert"] + per["delete"]
-    )
+    assert per["scan"] > 0 and per["subindex"] == 0.0
+    assert st.locked == pytest.approx(per["insert"] + per["delete"])
     assert st.merge_interval == 0 and st.merge_duration == 0.0
 
 

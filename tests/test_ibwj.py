@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.immutable_btree import _WALK
 from repro.join import ibwj, spark_join, streams
 from repro.join.streams import (
     KEY_SPACE,
@@ -302,11 +301,12 @@ def test_measure_mode_collects_step_costs():
         collect_pairs=False, measure=True,
     )
     c = res.costs
-    assert c.search > 0 and c.scan >= 0 and c.insert > 0
+    assert c.search > 0 and c.scan >= 0 and c.subindex > 0 and c.insert > 0
     assert c.merge > 0 and c.n_merges > 0
-    assert c.search + c.scan + c.insert + c.delete + c.merge <= res.elapsed * 1.2
+    steps = c.search + c.scan + c.subindex + c.insert + c.delete + c.merge
+    assert steps <= res.elapsed * 1.2
     per = c.per_tuple()
-    assert set(per) == {"search", "scan", "insert", "delete", "merge"}
+    assert set(per) == {"search", "scan", "subindex", "insert", "delete", "merge"}
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
@@ -326,64 +326,33 @@ def test_measure_mode_times_delete_only_where_an_index_deletes(name):
         assert res.costs.delete == 0.0
 
 
-def test_measure_mode_same_results_as_fast_mode():
+@pytest.mark.parametrize("name", sorted(FACTORIES))
+def test_measure_mode_same_results_as_fast_mode(name):
+    """Measure mode times the production probe's parts, so it returns
+    the same pairs; a locking PIM-Tree also takes the same locks and
+    loads the same T_S bytes."""
     w = 96
     seq = gen_stream(1500, seed=20)
     diff = diff_for_match_rate(2.0, w)
-    r1 = ibwj.run_ibwj(seq, w, w, diff, FACTORIES["im_m125"], measure=True)
-    r2 = ibwj.run_ibwj(seq, w, w, diff, FACTORIES["im_m125"], measure=False)
-    assert set(r1.pairs) == set(r2.pairs)
+    runs = {}
+    for measure in (True, False):
+        built = []
 
+        def factory(win):
+            built.append(FACTORIES[name](win))
+            return built[-1]
 
-@pytest.mark.parametrize("name", ["im_m125", "pim_d2"])
-def test_probe_split_runs_the_probe_scan(name):
-    """The timed probe scans T_S with the production ``scan``: the same
-    matches and the same T_S bytes loaded as the untimed probe, for a
-    short band and for one wide enough that T_S returns far more pairs
-    than the scan walks element by element."""
-    import random
-
-    rnd = random.Random(5)
-    ad = FACTORIES[name](256)
-    pos = 0
-    for n in (ad.idx.merge_threshold,) * 3 + (20,):  # merges, then T_I fill
-        for _ in range(n):
-            pos += 1
-            ad.insert(rnd.randrange(10_000), pos)
-        ad.maintain(pos - 200, ibwj.StepCosts(), measure=False)
-    assert len(ad.idx.t_s) > 0 and not ad.idx.needs_merge()
-    bands = [(lo, lo + 300) for lo in range(0, 10_000, 700)] + [(0, 9_999)]
-    for lo, hi in bands:
-        b0 = ad.idx.t_s.bytes_loaded
-        want = ad.probe(lo, hi, pos - 200)
-        b1 = ad.idx.t_s.bytes_loaded
-        got, _, _ = ad.probe_split(lo, hi, pos - 200)
-        assert sorted(got) == sorted(want)
-        assert ad.idx.t_s.bytes_loaded - b1 == b1 - b0 > 0
-    assert len(ad.idx.t_s) > _WALK  # the last band scans all of T_S
-
-
-def test_pim_probe_split_takes_the_probe_locks():
-    """On a churned locking PIM-Tree the timed probe returns the same
-    matches as the untimed one and takes the same sub-index locks."""
-    import random
-
-    rnd = random.Random(6)
-    ad = ibwj.PIMAdapter(1024, 0.25, 2)
-    for pos in range(1, 4 * 1024 + 100):
-        ad.insert(rnd.randrange(100_000), pos)
-        ad.maintain(pos - 1023, ibwj.StepCosts(), measure=False)
-    assert ad.idx.n_subindexes > 1 and sum(ad.idx.insert_counts) > 0
-    min_pos = pos - 1023
-    for lo in range(0, 100_000, 1_700):
-        for width in (0, 50, 20_000):
-            l0 = ad.idx.lock_acquisitions
-            want = ad.probe(lo, lo + width, min_pos)
-            l1 = ad.idx.lock_acquisitions
-            got, _, _ = ad.probe_split(lo, lo + width, min_pos)
-            assert got == want
-            assert ad.idx.lock_acquisitions - l1 == l1 - l0
-    assert ad.idx.lock_acquisitions > 0
+        res = ibwj.run_ibwj(seq, w, w, diff, factory, measure=measure)
+        runs[measure] = res.pairs, [
+            (a.idx.lock_acquisitions, a.idx.t_s.bytes_loaded)
+            for a in built
+            if isinstance(a, ibwj.PIMAdapter) and a.idx.use_locks
+        ]
+    assert runs[True] == runs[False]
+    pairs, pim = runs[True]
+    assert len(pairs) > 0
+    assert all(locks > 0 and ts_bytes > 0 for locks, ts_bytes in pim)
+    assert (len(pim) > 0) == (name.startswith("pim") and name != "pim_nocc")
 
 
 def test_pairs_df_schema():

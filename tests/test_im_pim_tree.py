@@ -153,7 +153,17 @@ def test_pim_route_matches_ts_route():
             assert all(route(k) == i for k in b.items_arrays()[0].tolist())
         for lo in rng.integers(-10, 10**6 + 10, 200).tolist():
             for hi in (lo, lo + 100, lo + 10**5):
-                assert t.span(lo, hi) == (route(lo), route(hi))
+                # a probe locks exactly the non-empty sub-indexes of
+                # route(lo)..route(hi)
+                span = range(route(lo), route(hi) + 1)
+                l0 = t.lock_acquisitions
+                got = t.search_subindexes(lo, hi, -1, [])
+                assert t.lock_acquisitions - l0 == sum(
+                    1 for i in span if t.insert_counts[i]
+                )
+                assert sorted(got) == sorted(
+                    e for i in span for e in t.subindexes[i].search_range(lo, hi)
+                )
 
 
 def test_pim_insert_counts_track_inserts():
