@@ -114,8 +114,8 @@ def _pim_calibration(w: int, d_i: int, merge_ratio: float, match_rate: float):
     ``calibrate.measure``'s one length, so every table that simulates a
     config shares one run. ``n_partitions`` is the sub-index count of the
     calibration run's PIM-Tree: after the 2w prefill its T_S holds the
-    w-element window. The byte counts are those of the run's trees
-    (prefill included), as they stand at its end.
+    w-element window. The byte counts are read from the run's trees as
+    they stand at its end; a merge starts fresh counters.
 
     When the calibration window is too short to see a merge, the merge
     interval comes from the threshold analytically (one merge per m*w
