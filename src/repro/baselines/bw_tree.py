@@ -21,7 +21,7 @@ import numpy as np
 
 
 class _Page:
-    __slots__ = ("base_keys", "base_poss", "deltas", "n_dels", "bound")
+    __slots__ = ("base_keys", "base_poss", "deltas", "bound")
 
     def __init__(
         self, keys: np.ndarray, poss: np.ndarray, bound: int | None = None
@@ -30,7 +30,6 @@ class _Page:
         self.base_poss = poss
         # delta record: (op, key, pos); op +1 insert, -1 delete
         self.deltas: list[tuple[int, int, int]] = []
-        self.n_dels = 0
         # Explicit routing upper bound (None = +inf, the rightmost page).
         # Derived bounds (page base max) would strand delta records whose
         # key exceeds the base max when an unrelated split rebuilds the
@@ -79,7 +78,6 @@ class BwTreeLike:
             page = self.pages[i]
             if self._contains(page, key, pos):
                 page.deltas.append((-1, key, pos))
-                page.n_dels += 1
                 self._n -= 1
                 if len(page.deltas) > self.consolidate_at:
                     self._consolidate(i)

@@ -19,26 +19,20 @@ class NLWJWindow:
         self.window = window
         self.keys = np.zeros(window, np.int64)
         self.poss = np.full(window, -1, np.int64)
-        self._count = 0
         self.bytes_loaded = 0
 
-    def __len__(self) -> int:
-        return min(self._count, self.window)
-
     def insert(self, key: int, pos: int) -> None:
-        """Overwrites the expired slot — insert and coarse delete in one."""
+        """Overwrites the expired slot — insert and coarse delete in one:
+        slot (pos - 1) mod w is reused only by pos + w, once pos is out of
+        the window."""
         i = (pos - 1) % self.window
         self.keys[i] = key
         self.poss[i] = pos
-        self._count += 1
 
     def probe(self, lo: int, hi: int, min_pos: int = -1) -> list[tuple[int, int]]:
-        """All live elements with lo <= key <= hi and pos >= min_pos."""
-        n = len(self)
-        if n == 0:
-            return []
-        k = self.keys[:n] if self._count <= self.window else self.keys
-        p = self.poss[:n] if self._count <= self.window else self.poss
+        """All live elements with lo <= key <= hi and pos >= min_pos: one
+        scan of the whole ring."""
+        k, p = self.keys, self.poss
         self.bytes_loaded += len(k) * 8
         # Unfilled ring slots carry pos = -1; clamp the expiry bound so
         # they can never match even when min_pos is still negative.

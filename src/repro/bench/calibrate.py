@@ -9,7 +9,8 @@ for every index:
 - lock-free: the probe's search and scan, and the driver's own per-tuple
   work;
 - locked: the probe's sub-index (T_I) part, the insert and the delete;
-- merge duration and interval from the run's merges.
+- merge duration: the mean of the run's own merges; merge interval: the
+  run's tuples per merge.
 
 Measure mode times the production probe's own parts (``ibwj`` adapters'
 ``timed_probe``), so the split is the paper's: a PIM-Tree descends and
@@ -18,9 +19,13 @@ seek/scan (``PIMTree.search_subindexes``) and insert; a Bw-Tree's page
 descent and page read are latch-free, and only its page updates (insert,
 delete) are CAS-protected. Only the indexes that delete each expired
 tuple (B+, Bw) have a delete; PIM and IM dispose of expired tuples
-inside the merge. Every measured second of the run lands in one of the
-service times, so a one-thread simulation over the run's own tuples
-takes the run's own time, plus the task acquisition the simulator adds.
+inside the merge. A run that merges must cover whole merge cycles
+(``tables_parallel._pim_calibration`` times k >= 2 of them per stream):
+then its merges are the ones the join makes, its interval is the merge
+threshold, and its T_I costs average over T_I's growth from empty to
+full. Every measured second of the run lands in one of the service
+times, so a one-thread simulation over the run's own tuples takes the
+run's own time, plus the task acquisition the simulator adds.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ MERGE_SCAN_SURCHARGE = 2.0
 
 
 def measure(
-    factory, w: int, *, n_process: int = 20_000, match_rate: float = 2.0
+    factory, w: int, *, n_process: int, match_rate: float = 2.0
 ) -> ibwj.JoinResult:
     """Time ``n_process`` tuples of the IBWJ driver over ``factory``'s
     indexes at window size ``w``, with per-step costs. The window is
@@ -61,24 +66,3 @@ def service_times(res: ibwj.JoinResult) -> ServiceTimes:
         merge_interval=max(1, c.n_tuples) // c.n_merges if c.n_merges else 0,
         scan_surcharge=MERGE_SCAN_SURCHARGE * p["scan"],
     )
-
-
-def measure_merge_cost(
-    w: int, merge_ratio: float = 1.0, insertion_depth: int = 2
-) -> float:
-    """Directly time one PIM-Tree merge of ~(1+m)*w elements — used when
-    the calibration window is too short to observe a merge (large m*w)."""
-    import time
-
-    import numpy as np
-
-    from repro.core.pim_tree import PIMTree
-
-    rng = np.random.default_rng(0)
-    n = int((1 + merge_ratio) * w)
-    t = PIMTree(w, 1.0, insertion_depth)
-    for p in range(1, n + 1):
-        t.insert(int(rng.integers(0, 1 << 24)), p)
-    t0 = time.perf_counter()
-    t.merge(n - w + 1)
-    return time.perf_counter() - t0

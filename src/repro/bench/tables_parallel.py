@@ -24,6 +24,7 @@ from repro.concurrency.simulator import (
     simulate,
     simulate_round_robin,
 )
+from repro.core.pim_tree import PIMTree
 from repro.join import ibwj
 from repro.join.streams import diff_for_match_rate, gen_stream
 
@@ -110,36 +111,39 @@ def _calibration(adapter, w: int, n_process: int) -> ibwj.JoinResult:
 @functools.cache
 def _pim_calibration(w: int, d_i: int, merge_ratio: float, match_rate: float):
     """(calibration run, service_times, n_partitions, (bytes loaded,
-    bytes stored)) for one config, calibrated once per process at
-    ``calibrate.measure``'s one length, so every table that simulates a
-    config shares one run. ``n_partitions`` is the sub-index count of the
-    calibration run's PIM-Tree: after the 2w prefill its T_S holds the
-    w-element window. The byte counts are read from the run's trees as
-    they stand at its end; a merge starts fresh counters.
+    bytes stored)) for one config, calibrated once per process, so every
+    table that simulates a config shares one run.
 
-    When the calibration window is too short to see a merge, the merge
-    interval comes from the threshold analytically (one merge per m*w
-    own-stream inserts per index = every ~m*w global tuples overall) and
-    the merge duration from a directly timed rebuild.
+    The run times k whole merge cycles per stream: 2·k·threshold tuples
+    of the alternating streams, with k >= 2 and at least 20,000 tuples.
+    The 2w prefill ends on a merge for every power-of-two m, so the run
+    ends on one too: its 2k merges are the join's own, its merge
+    interval is the threshold, and its T_I costs cover T_I's growth from
+    empty to full. ``n_partitions`` is the sub-index count of the run's
+    PIM-Tree, whose T_S holds the w-element window after that last
+    merge. The byte counts are both trees' ``PIMTree.bytes_moved``, prefill
+    included.
     """
+    threshold = PIMTree(w, merge_ratio).merge_threshold
+    cycles = max(2, -(-20_000 // (2 * threshold)))
     built = []
 
     def factory(win):
         built.append(ibwj.PIMAdapter(win, merge_ratio, d_i))
         return built[-1]
 
-    res = calibrate.measure(factory, w, match_rate=match_rate)
-    st = calibrate.service_times(res)
-    if st.merge_interval == 0:
-        st.merge_interval = max(1, int(merge_ratio * w))
-        st.merge_duration = calibrate.measure_merge_cost(w, merge_ratio, d_i)
+    res = calibrate.measure(
+        factory, w, n_process=2 * cycles * threshold, match_rate=match_rate
+    )
     loads = stores = 0
     for a in built:
-        loads += a.idx.t_s.bytes_loaded
-        loads += sum(b.bytes_loaded for b in a.idx.subindexes)
-        stores += sum(b.bytes_stored for b in a.idx.subindexes)
-        stores += len(a.idx.t_s) * 8 * a.idx.n_merges  # merge writes
-    return res, st, built[0].idx.n_subindexes, (loads, stores)
+        loaded, stored = a.idx.bytes_moved()
+        loads += loaded
+        stores += stored
+    return (
+        res, calibrate.service_times(res), built[0].idx.n_subindexes,
+        (loads, stores),
+    )
 
 
 def table_existing_approaches(scale: str = "full") -> pd.DataFrame:
@@ -215,17 +219,8 @@ def table_merge_ratio_parallel(scale: str = "full") -> pd.DataFrame:
     rows = []
     for w in ws:
         row = {"w": w}
-        # One base calibration per window; only the merge interval and
-        # duration vary with m. Calibrating per m would re-measure the
-        # (m-independent) service times with +-10 % run noise and bury
-        # the merge-frequency effect this sweep isolates.
-        _, base_st, n_parts, _ = _pim_calibration(w, 2, 2**-3, 2.0)
         for m in ms:
-            st = dataclasses.replace(
-                base_st,
-                merge_duration=calibrate.measure_merge_cost(w, m),
-                merge_interval=max(1, int(m * w)),
-            )
+            _, st, n_parts, _ = _pim_calibration(w, 2, m, 2.0)
             sim = _simulate_pim(st, n_parts, HW_THREADS)
             label = f"m=2^{int(np.log2(m))}" if m < 1 else "m=1"
             row[label] = sim.throughput
@@ -495,11 +490,11 @@ def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
     thread count grows (longer edge-to-head linear scans add loads)."""
     w = 1 << (16 if scale == "full" else 12)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
-    # Bytes per tuple from the calibration run's own trees.
+    # Bytes per tuple from the calibration run's own trees: only the
+    # timed tuples probe, and every tuple, prefill included, inserts.
     res, st, n_parts, (loads, stores) = _pim_calibration(w, 2, 1.0, 2.0)
-    n_seen = 2 * w + res.n_processed  # prefill + timed tuples
-    per_tuple_load = loads / n_seen
-    per_tuple_store = max(stores / n_seen, 1.0)
+    per_tuple_load = loads / res.n_processed
+    per_tuple_store = stores / (2 * w + res.n_processed)
     rows = []
     for p in threads:
         sim = _simulate_pim(st, n_parts, p)

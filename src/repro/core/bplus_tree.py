@@ -25,13 +25,12 @@ _PTR_BYTES = 8
 
 
 class _Leaf:
-    __slots__ = ("keys", "poss", "nxt", "prv")
+    __slots__ = ("keys", "poss", "nxt")
 
     def __init__(self) -> None:
         self.keys: list[int] = []
         self.poss: list[int] = []
         self.nxt: _Leaf | None = None
-        self.prv: _Leaf | None = None
 
 
 class _Inner:
@@ -108,9 +107,7 @@ class BPlusTree:
         right = _Leaf()
         right.keys, leaf.keys = leaf.keys[mid:], leaf.keys[:mid]
         right.poss, leaf.poss = leaf.poss[mid:], leaf.poss[:mid]
-        right.nxt, right.prv = leaf.nxt, leaf
-        if leaf.nxt is not None:
-            leaf.nxt.prv = right
+        right.nxt = leaf.nxt
         leaf.nxt = right
         self._insert_in_parent(leaf, leaf.keys[-1], right, right.keys[-1], path)
 

@@ -79,6 +79,9 @@ class PIMTree:
         self.merge_threshold = max(1, int(merge_ratio * window))
         self.n_merges = 0
         self.lock_acquisitions = 0
+        # (loaded, stored) bytes of the T_S and sub-indexes that merges
+        # retired, plus each merge's T_S writes (``bytes_moved``).
+        self._bytes_carried = (0, 0)
 
     # -- structure maintenance -------------------------------------------
     def _reset_subindexes(self) -> None:
@@ -109,7 +112,7 @@ class PIMTree:
     def _rebuild(self, src: "PIMTree", min_pos: int) -> int:
         """Make T_S the live T_S elements of ``src`` merged with all of
         its sub-index elements, re-initialise the sub-indexes against the
-        new partitioning, and continue ``src``'s merge counters.
+        new partitioning, and continue ``src``'s merge and byte counters.
 
         Sub-indexes cover disjoint ascending key ranges, so walking the
         leaf chains of the non-empty ones in partition order, in one
@@ -124,10 +127,22 @@ class PIMTree:
             ik = ip = np.empty(0, np.int64)
         live = src.t_s.poss >= min_pos
         keys, poss = merge_sorted(src.t_s.keys[live], src.t_s.poss[live], ik, ip)
+        loaded, stored = src.bytes_moved()
         self.t_s = ImmutableBTree(keys, poss)
         self._reset_subindexes()
         self.n_merges = src.n_merges + 1
+        self._bytes_carried = (loaded, stored + len(keys) * 8)
         return len(keys)
+
+    def bytes_moved(self) -> tuple[int, int]:
+        """(bytes loaded, bytes stored) since the tree was built, merges
+        included: the carried totals plus the live T_S and sub-index
+        counters, which each merge replaces."""
+        loaded, stored = self._bytes_carried
+        for b in self.subindexes:
+            loaded += b.bytes_loaded
+            stored += b.bytes_stored
+        return loaded + self.t_s.bytes_loaded, stored
 
     @property
     def n_subindexes(self) -> int:

@@ -57,9 +57,7 @@ class StepCosts:
 
 class _Adapter:
     """One sliding window's index + expiry policy. ``pos`` is the
-    per-stream arrival position (spos). ``maskable``: a run where only
-    some rows insert (``run_ibwj``'s ``owner``) stays exact and keeps the
-    index window-sized.
+    per-stream arrival position (spos).
 
     An index that deletes each expired tuple (B+, Bw) defines
     ``retire(expired_key, expired_pos)``; the others drop expired tuples
@@ -69,8 +67,6 @@ class _Adapter:
     ``timed_probe(lo, hi, min_pos, costs)`` is ``probe`` for measure
     mode: it calls the parts ``probe`` is made of and adds each part's
     wall time to one step of ``costs``."""
-
-    maskable = True
 
     def insert(self, key: int, pos: int) -> None:
         raise NotImplementedError
@@ -83,9 +79,6 @@ class _Adapter:
 
 
 class BPlusAdapter(_Adapter):
-    # retires by delete, which a masked run does only on owner rows
-    maskable = False
-
     def __init__(self, window: int) -> None:
         self.tree = BPlusTree()
 
@@ -138,8 +131,6 @@ class ChainAdapter(_Adapter):
 
 
 class BwAdapter(_Adapter):
-    maskable = False  # retires by delete, as BPlusAdapter
-
     def __init__(self, window: int) -> None:
         self.idx = BwTreeLike()
 
@@ -166,10 +157,6 @@ class BwAdapter(_Adapter):
 
 
 class NLWJAdapter(_Adapter):
-    # probes the ring's first min(inserts, w) slots, which sparse inserts
-    # do not fill in order
-    maskable = False
-
     def __init__(self, window: int) -> None:
         self.win = NLWJWindow(window)
 
@@ -285,12 +272,12 @@ def run_ibwj(
     means every row inserts. A row with ``owner[t]`` False runs Step 1
     only: a Spark bucket's band-replica rows probe but never insert.
     The pairs are then exactly those whose earlier tuple is owned, for
-    adapters that expire by position (PIM, IM, chained): every probe
-    filters by ``min_pos``, and merges and chain expiry drop by
-    position. A mask that excludes a row raises ``ValueError`` for the
-    others (``maskable`` False): B+ and Bw retire by delete on owner rows
-    only, so they keep stale entries and grow with the stream, and
-    NLWJ's ring probes only its first min(inserts, w) slots.
+    adapters that expire by position (PIM, IM, chained, NLWJ): every
+    probe filters by ``min_pos``, and merges, chain expiry and ring
+    overwrites drop by position. A mask that excludes a row raises
+    ``ValueError`` for an adapter that defines ``retire`` (B+, Bw): it
+    retires by delete on owner rows only, so it would keep stale entries
+    and grow with the stream.
     """
     sides, sposs, xs, opps, gposs = arrival_columns(seq)
     owners = None if owner is None else np.asarray(owner, bool).tolist()
@@ -301,7 +288,8 @@ def run_ibwj(
     else:
         idx_r = index_factory(w_r)
         idx_s = index_factory(w_s)
-    if owners is not None and not all(owners) and not idx_r.maskable:
+    retires = hasattr(idx_r, "retire")
+    if retires and owners is not None and not all(owners):
         raise ValueError(f"{type(idx_r).__name__} cannot run with an owner mask")
     win = {"R": w_r, "S": w_s}
     own = {"R": idx_r, "S": idx_s}
@@ -310,7 +298,7 @@ def run_ibwj(
     # index that deletes them; gpos by (side, spos) names the earlier
     # tuple of a pair, so runs without pairs (steady-state tables,
     # benchmarks) skip it.
-    key_of = by_spos(seq, "x") if hasattr(idx_r, "retire") else None
+    key_of = by_spos(seq, "x") if retires else None
     gpos_of = by_spos(seq, "gpos") if collect_pairs else None
 
     pairs: list[tuple[int, int]] | None = [] if collect_pairs else None

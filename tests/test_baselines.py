@@ -37,7 +37,6 @@ def test_nlwj_overwrite_is_coarse_delete():
     win = NLWJWindow(w)
     for p in range(1, 10):
         win.insert(p * 10, p)
-    assert len(win) == w
     got = win.probe(0, 1000, min_pos=9 - w + 1)
     assert sorted(p for _, p in got) == [6, 7, 8, 9]
 

@@ -182,9 +182,11 @@ def test_bucketed_owner_runs_union_to_oracle(
 
 
 # Adapters that expire by position, so a run where only owner rows insert
-# stays exact; the delete-based and ring adapters reject such a run.
-MASKABLE = [n for n in sorted(FACTORIES) if n.startswith(("chain", "im", "pim"))]
-UNMASKABLE = ["bplus", "bw", "nlwj"]
+# stays exact; the delete-based adapters reject such a run.
+MASKABLE = [
+    n for n in sorted(FACTORIES) if n.startswith(("chain", "im", "nlwj", "pim"))
+]
+UNMASKABLE = ["bplus", "bw"]
 
 
 @pytest.mark.parametrize("name", MASKABLE)
@@ -215,7 +217,7 @@ def test_masked_run_returns_the_owned_pairs(name, shape, seed, share):
 @pytest.mark.parametrize("name", UNMASKABLE)
 def test_partial_mask_is_rejected(name):
     """A mask that leaves out one row raises for an adapter that retires
-    by delete or by ring slot; an all-True mask runs (``_run_and_check``)."""
+    by delete; an all-True mask runs (``_run_and_check``)."""
     seq = gen_stream(300, seed=22)
     owner = np.ones(len(seq), bool)
     owner[150] = False

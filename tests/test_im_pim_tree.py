@@ -231,6 +231,29 @@ def test_pim_merged_copy_preserves_old():
     assert new.n_merges == t.n_merges + 1
 
 
+def test_pim_byte_totals_survive_merges():
+    """``bytes_moved`` carries the counters of the T_S and sub-indexes a
+    merge retires, plus the new T_S's writes: neither total falls across
+    ``merge`` or ``merged_copy``, and a merge adds exactly its T_S."""
+    w = 1024
+    t = PIMTree(w, 0.25, 2)
+    rng = np.random.default_rng(17)
+    last = (0, 0)
+    for p in range(1, 3 * w + 1):
+        t.insert(int(rng.integers(0, 10**6)), p)
+        t.search_range(0, 10**5, p - w + 1)
+        now = t.bytes_moved()
+        assert now[0] >= last[0] and now[1] > last[1]
+        last = now
+        if t.needs_merge():
+            copy = PIMTree.merged_copy(t, p - w + 1)
+            assert t.bytes_moved() == last  # the old tree is untouched
+            n = t.merge(p - w + 1)
+            assert t.bytes_moved() == copy.bytes_moved()
+            assert t.bytes_moved() == (last[0], last[1] + n * 8)
+    assert t.n_merges == 12 and last[0] > 0
+
+
 def test_pim_merged_copy_drops_expired():
     """Expiry filtering applies to T_S only — T_I holds the newest m*w <= w
     tuples, which by construction cannot have expired (paper §3.3.1).

@@ -1,7 +1,7 @@
 """The modelling decisions of the simulated tables, each made in one
 place: how a thread count above the paper's 8 physical cores is modelled
-(``_on_paper_machine``) and how many sub-indexes a configuration has
-(``_pim_calibration``)."""
+(``_on_paper_machine``), and how long a configuration's calibration run
+is and how many sub-indexes it has (``_pim_calibration``)."""
 import numpy as np
 import pytest
 
@@ -13,6 +13,7 @@ from repro.concurrency.simulator import (
     simulate_round_robin,
 )
 from repro.core.immutable_btree import ImmutableBTree
+from repro.core.pim_tree import PIMTree
 
 ST = ServiceTimes(lock_free=4e-6, locked=4e-6, task_acquire=1e-6)
 
@@ -67,3 +68,20 @@ def test_pim_calibration_subindexes_are_the_w_element_ts_nodes(d_i):
     n_parts = tp._pim_calibration(w, d_i, 1.0, 2.0)[2]
     ts = ImmutableBTree(np.arange(w), np.arange(w))
     assert n_parts == len(ts.partition_bounds(d_i)) > 1
+
+
+@pytest.mark.parametrize("w, m", [(1 << 14, 1.0), (1 << 10, 2**-4)])
+def test_pim_calibration_times_whole_merge_cycles(w, m):
+    """The run covers k >= 2 whole merge cycles per stream and at least
+    20,000 tuples, so every simulated merge is one of its own: the merge
+    interval is the threshold and the duration their mean. At w = 2^14,
+    m = 1 a 20,000-tuple run would see no merge."""
+    res, st, _, _ = tp._pim_calibration(w, 2, m, 2.0)
+    threshold = PIMTree(w, m).merge_threshold
+    c = res.costs
+    # the streams alternate, so each tree merges n_merges / 2 times
+    assert res.n_processed % (2 * threshold) == 0
+    assert c.n_merges == res.n_processed // threshold >= 4
+    assert res.n_processed >= 20_000
+    assert st.merge_interval == threshold
+    assert st.merge_duration == c.merge / c.n_merges
