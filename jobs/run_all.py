@@ -1,17 +1,26 @@
 """Run evaluation tables from the registry and collect results/ into one file.
 
-Usage: ``python jobs/run_all.py [--smoke] [NAME ...]``, or the same under
-``spark-submit``. NAME is a key of ``repro.bench.report.TABLES``; with no
-names every table runs, in registry order. A full-scale run writes
-``results/<name>.md`` per table and rebuilds ``results/ALL.md``;
-EXPERIMENTS.md quotes these numbers next to the paper's. ``--smoke``
-shrinks the sweeps and only prints, leaving ``results/`` untouched.
+Usage: ``python jobs/run_all.py [--smoke | --stale] [NAME ...]``, or the
+same under ``spark-submit``. NAME is a key of
+``repro.bench.report.TABLES``; with no names every table runs, in
+registry order. A full-scale run writes ``results/<name>.md`` per table
+and rebuilds ``results/ALL.md``; EXPERIMENTS.md quotes these numbers next
+to the paper's. ``--smoke`` shrinks the sweeps and only prints, leaving
+``results/`` untouched. ``--stale`` runs nothing: it prints each table
+whose ``results/`` footer names no committed sha, or whose sha a later
+commit to ``src/repro/`` follows, with the reason.
 """
 import argparse
 import sys
 import time
 
-from repro.bench.report import RESULTS_DIR, TABLES, get_spark, run_table
+from repro.bench.report import (
+    RESULTS_DIR,
+    TABLES,
+    get_spark,
+    run_table,
+    stale_tables,
+)
 
 
 def main() -> None:
@@ -24,6 +33,10 @@ def main() -> None:
         "--smoke", action="store_true",
         help="shrunken sweeps; print only, do not write results/",
     )
+    parser.add_argument(
+        "--stale", action="store_true",
+        help="run nothing; list the tables whose results predate src/repro",
+    )
     args = parser.parse_args()
     unknown = [n for n in args.names if n not in TABLES]
     if unknown:
@@ -31,6 +44,10 @@ def main() -> None:
             f"unknown table(s): {', '.join(unknown)}\n"
             "valid names:\n  " + "\n  ".join(TABLES)
         )
+    if args.stale:
+        for name, reason in stale_tables(args.names or TABLES):
+            print(f"{name}: {reason}")
+        return
     scale = "smoke" if args.smoke else "full"
 
     spark = get_spark("run_all")

@@ -12,6 +12,7 @@ entry at smoke scale.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import time
 from pathlib import Path
@@ -173,25 +174,57 @@ def to_markdown(pdf: pd.DataFrame) -> str:
     return "\n".join(lines)
 
 
+def _git(*args: str) -> subprocess.CompletedProcess:
+    """Run git in the checkout that holds ``RESULTS_DIR``."""
+    return subprocess.run(
+        ["git", *args], cwd=RESULTS_DIR.parent, capture_output=True, text=True
+    )
+
+
 def _git_sha() -> str:
     """Short sha of the checkout's HEAD, with ``+dirty`` appended when
     ``src/`` has uncommitted changes (HEAD alone would not be the code
     that made the table), or ``unknown`` outside git."""
-
-    def git(*args: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            ["git", *args], cwd=RESULTS_DIR.parent, capture_output=True, text=True
-        )
-
     try:
-        head = git("rev-parse", "--short", "HEAD")
+        head = _git("rev-parse", "--short", "HEAD")
         if head.returncode != 0:
             return "unknown"
-        status = git("status", "--porcelain", "--", "src")
+        status = _git("status", "--porcelain", "--", "src")
     except OSError:
         return "unknown"
     sha = head.stdout.strip()
     return f"{sha}+dirty" if status.stdout.strip() else sha
+
+
+_FOOTER_SHA = re.compile(r" at ([0-9a-f]{4,})(\+dirty)?_$")
+
+
+def stale_tables(names) -> list[tuple[str, str]]:
+    """``(name, reason)`` for each of ``names`` whose ``results/`` file
+    may not describe the code at HEAD: there is no file, its footer
+    names no sha or a ``+dirty`` one, git does not know the sha, or a
+    commit after it touches ``src/repro/``. Runs git only, no table."""
+    stale = []
+    for name in names:
+        path = RESULTS_DIR / f"{name}.md"
+        if not path.exists():
+            stale.append((name, "no results file"))
+            continue
+        footer = path.read_text().rstrip("\n").splitlines()[-1]
+        m = _FOOTER_SHA.search(footer)
+        if not m:
+            stale.append((name, "footer names no sha"))
+            continue
+        sha = m[1]
+        if m[2]:
+            stale.append((name, f"made from uncommitted src/ at {sha}"))
+            continue
+        log = _git("log", "--format=%h", f"{sha}..HEAD", "--", "src/repro")
+        if log.returncode != 0:
+            stale.append((name, f"{sha} is not in this checkout's history"))
+        elif later := log.stdout.split():
+            stale.append((name, f"{sha} predates {len(later)} src/repro commit(s)"))
+    return stale
 
 
 def run_table(spark: SparkSession, name: str, scale: str = "full") -> pd.DataFrame:

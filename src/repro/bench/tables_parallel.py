@@ -108,24 +108,29 @@ def _calibration(adapter, w: int, n_process: int) -> ibwj.JoinResult:
     return calibrate.measure(adapter, w, n_process=n_process)
 
 
+def _whole_cycles(w: int, merge_ratio: float) -> int:
+    """Timed tuples in k whole merge cycles per stream: 2·k·threshold of
+    the alternating streams, with k >= 2 and at least 20,000 tuples. The
+    2w prefill ends on a merge for every power-of-two m, so a run of this
+    length ends on one too and pays each stream's merges in full."""
+    threshold = PIMTree(w, merge_ratio).merge_threshold
+    return 2 * threshold * max(2, -(-20_000 // (2 * threshold)))
+
+
 @functools.cache
 def _pim_calibration(w: int, d_i: int, merge_ratio: float, match_rate: float):
     """(calibration run, service_times, n_partitions, (bytes loaded,
     bytes stored)) for one config, calibrated once per process, so every
     table that simulates a config shares one run.
 
-    The run times k whole merge cycles per stream: 2·k·threshold tuples
-    of the alternating streams, with k >= 2 and at least 20,000 tuples.
-    The 2w prefill ends on a merge for every power-of-two m, so the run
-    ends on one too: its 2k merges are the join's own, its merge
-    interval is the threshold, and its T_I costs cover T_I's growth from
-    empty to full. ``n_partitions`` is the sub-index count of the run's
+    The run times k whole merge cycles per stream (``_whole_cycles``):
+    its 2k merges are the join's own, its merge interval is the
+    threshold, and its T_I costs cover T_I's growth from empty to full.
+    ``n_partitions`` is the sub-index count of the run's
     PIM-Tree, whose T_S holds the w-element window after that last
     merge. The byte counts are both trees' ``PIMTree.bytes_moved``, prefill
     included.
     """
-    threshold = PIMTree(w, merge_ratio).merge_threshold
-    cycles = max(2, -(-20_000 // (2 * threshold)))
     built = []
 
     def factory(win):
@@ -133,7 +138,8 @@ def _pim_calibration(w: int, d_i: int, merge_ratio: float, match_rate: float):
         return built[-1]
 
     res = calibrate.measure(
-        factory, w, n_process=2 * cycles * threshold, match_rate=match_rate
+        factory, w, n_process=_whole_cycles(w, merge_ratio),
+        match_rate=match_rate,
     )
     loads = stores = 0
     for a in built:
@@ -250,14 +256,19 @@ def table_task_size(scale: str = "full") -> pd.DataFrame:
 def table_scalability(scale: str = "full") -> pd.DataFrame:
     """Fig. 12a: two-way and self-join throughput vs thread count,
     against the single-threaded no-CC implementation; reports the CC
-    overhead the paper measures (~40 % / ~26 %)."""
+    overhead the paper measures (~40 % / ~26 %).
+
+    The single-threaded runs time as many whole merge cycles as the
+    calibration behind the simulated rows (``_whole_cycles``), so both
+    pay the same merges per tuple; they keep ``steady_state``'s seed 1,
+    a stream the calibration (seed 0) never saw."""
     w = 1 << (16 if scale == "full" else 13)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
     _, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
+    n_cc = _whole_cycles(w, 1.0)
     rows = []
     for self_join in (False, True):
         tag = "self" if self_join else "two_way"
-        n_cc = int(6.6 * w) + 8000  # several merge cycles per run
         no_cc = steady_state(
             lambda win: ibwj.PIMAdapter(win, 1.0, 2, use_locks=False),
             w, self_join=self_join, n_process=n_cc,
@@ -486,8 +497,12 @@ def table_distributions(spark, scale: str = "full") -> pd.DataFrame:
 def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
     """Fig. 11d: effective 'memory bandwidth' proxy from the byte
     counters (8 B/element loads/stores, DESIGN.md §3.4) scaled by the
-    simulated multithreaded throughput; the store share shrinks as the
-    thread count grows (longer edge-to-head linear scans add loads)."""
+    simulated multithreaded throughput. Both bandwidths are the
+    calibration run's bytes per tuple times the same throughput, so
+    ``store_share`` is that run's measured share at every thread count:
+    the paper's falling share comes from the longer linear scans of
+    more in-flight tasks, which the byte counters of a one-thread run do
+    not see."""
     w = 1 << (16 if scale == "full" else 12)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
     # Bytes per tuple from the calibration run's own trees: only the
@@ -498,13 +513,7 @@ def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
     rows = []
     for p in threads:
         sim = _simulate_pim(st, n_parts, p)
-        # Non-indexed window region grows with in-flight tasks: extra
-        # linear-scan loads per lookup ~ (p * task_size / 2) elements.
-        # sim.throughput cancels out of store_share, so this hard-coded
-        # term alone makes the share fall with p: that trend is modelled,
-        # not derived from the simulation or the byte counters.
-        extra_load = p * 8 / 2 * 8.0
-        load_bw = (per_tuple_load + extra_load) * sim.throughput
+        load_bw = per_tuple_load * sim.throughput
         store_bw = per_tuple_store * sim.throughput
         rows.append(
             {

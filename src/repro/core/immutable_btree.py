@@ -9,12 +9,15 @@ of inner levels. No inner key array is stored; PIM-Tree needs only two
 things from T_S, and both are arithmetic on ``keys``:
 
 - the key bounds of the depth-D_I nodes, which cut T_I into sub-indexes
-  (Algorithm 1): ``partition_bounds`` reads every ``f^(L - d + 1)``-th
-  key;
+  (Algorithm 1): ``partition_bounds`` reads every
+  ``partition_span(d) = f^(L - d + 1)``-th key;
 - one seek per probe (Algorithm 2): ``find_start`` bisects the element
   keys, the comparison sequence a CSS descent converges to. The byte
   model still charges the descent the layout implies, ``(height + 1) *
-  f * 4`` B per seek.
+  f * 4`` B per seek. Like the descent, the seek passes the depth-D_I
+  node on its way: its result divided by ``partition_span(D_I)`` is
+  that node's index, so a probe needs no second search to find its
+  sub-index.
 
 Storage is numpy (used by the vectorised merge and the bounds) plus
 plain-list mirrors of the elements for the probe: a range search bisects
@@ -150,18 +153,28 @@ class ImmutableBTree:
         (expiry filter), sorted by key: the seek, then the scan."""
         return self.scan(self.find_start(lo), hi, min_pos)
 
+    def partition_span(self, depth: int) -> int:
+        """Elements per depth-``depth`` node, ``s = f^(L - d + 1)``, L
+        being the number of inner levels. ``depth`` is clamped to L, so
+        past the deepest level this is the leaf chunk size f; at depth 0,
+        or on an empty tree, it is the root's f^(L + 1).
+
+        Node ``i`` at that depth holds elements ``[i*s, (i+1)*s)``, so a
+        seek's result names the node below it: ``find_start(lo) // s``,
+        clamped to the last node, is the node a descent to that depth
+        reaches, and PIM-Tree's probe reads its sub-index from it."""
+        n_inner = len(self._inner_sizes)
+        return _FANOUT ** (n_inner - min(depth, n_inner) + 1)
+
     def partition_bounds(self, depth: int) -> np.ndarray:
         """Upper key bounds of the depth-``depth`` nodes: sub-index ``i``
         covers keys in ``(bounds[i-1], bounds[i]]`` (last bound is +inf in
-        spirit — routing clamps to the rightmost node). A depth-d node
-        covers ``s = f^(L - d + 1)`` consecutive elements, so bound ``i``
-        is the last key of elements ``[i*s, (i+1)*s)``. ``depth`` is
-        clamped to the L inner levels, so past the deepest one these are
-        the leaf chunks' bounds."""
-        n_inner = len(self._inner_sizes)
-        depth = min(depth, n_inner)
+        spirit — routing clamps to the rightmost node). Bound ``i`` is
+        the last key of node ``i``'s ``partition_span(depth)`` elements,
+        so past the deepest inner level these are the leaf chunks'
+        bounds. Depth 0, the root, has none."""
         if depth == 0:
             return np.empty(0, np.int64)
         n = self._n
-        s = _FANOUT ** (n_inner - depth + 1)
+        s = self.partition_span(depth)
         return self.keys[np.minimum(np.arange(s - 1, n + s - 1, s), n - 1)]

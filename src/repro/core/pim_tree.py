@@ -13,7 +13,10 @@ the *insertion depth* D_I; each B_i covers that node's key range, so the
 partitioning adapts to the data distribution at every merge. Each B_i
 carries its own lock: concurrent threads route through the (lock-free,
 never-mutated) T_S and contend only on the sub-index covering their key
-— the paper's partition-level concurrency control.
+— the paper's partition-level concurrency control. An insert finds its
+B_i by one bisect over the depth-D_I bounds (Algorithm 1's descent to
+D_I). A probe makes one T_S seek (Algorithm 2's descent), and the seek's
+position names lo's B_i, so the probe does not search the bounds for lo.
 
 At D_I = 0 (the root) T_I is one unpartitioned sub-index: that is the
 paper's IM-Tree (§3.2), used without locks.
@@ -85,15 +88,16 @@ class PIMTree:
 
     # -- structure maintenance -------------------------------------------
     def _reset_subindexes(self) -> None:
-        # Upper bounds of the depth-D_I nodes but the last: routing a key
-        # is one binary search over these, the comparison sequence of a
-        # CSS descent from the root to D_I (D_I*log2(f_ib) comparisons).
-        # Dropping the last bound routes keys above every node to the
-        # rightmost sub-index, so there is one sub-index per bound kept,
-        # plus that one.
-        self._bounds: list[int] = self.t_s.partition_bounds(
-            self.insertion_depth
-        ).tolist()[:-1]
+        # Upper bounds of the depth-D_I nodes but the last: routing an
+        # insert is one binary search over these, the comparison sequence
+        # of a CSS descent from the root to D_I (D_I*log2(f_ib)
+        # comparisons). Dropping the last bound routes keys above every
+        # node to the rightmost sub-index, so there is one sub-index per
+        # bound kept, plus that one. A probe routes by its T_S seek
+        # instead: node i holds T_S elements [i*span, (i+1)*span).
+        d_i = self.insertion_depth
+        self._bounds: list[int] = self.t_s.partition_bounds(d_i).tolist()[:-1]
+        self._span = self.t_s.partition_span(d_i)
         n = len(self._bounds) + 1
         self.subindexes: list[BPlusTree] = [BPlusTree() for _ in range(n)]
         # Trees without concurrency control never lock, so they build no
@@ -199,26 +203,44 @@ class PIMTree:
         self, lo: int, hi: int, min_pos: int = -1
     ) -> list[tuple[int, int]]:
         """Matches from T_S (expiry-filtered, lock-free), then from the
-        covering sub-indexes (``search_subindexes``)."""
+        covering sub-indexes (``search_subindexes``), which the T_S seek
+        locates: Algorithm 2's one descent."""
+        t_s = self.t_s
+        start = t_s.find_start(lo)
         return self.search_subindexes(
-            lo, hi, min_pos, self.t_s.search_range(lo, hi, min_pos)
+            lo, hi, min_pos, t_s.scan(start, hi, min_pos), start
         )
 
     def search_subindexes(
-        self, lo: int, hi: int, min_pos: int, out: list[tuple[int, int]]
+        self,
+        lo: int,
+        hi: int,
+        min_pos: int,
+        out: list[tuple[int, int]],
+        start: int,
     ) -> list[tuple[int, int]]:
         """Extend ``out`` with the matches of the sub-indexes whose key
         ranges meet ``[lo, hi]`` and return it: the T_I part of a probe.
+        ``start`` is T_S's ``find_start(lo)``.
 
-        Walks those sub-indexes under their locks — the lock hand-off of
-        Algorithm 2's linked-leaf scan, expressed per partition.
+        The seek position names lo's sub-index: bound i is the last key
+        of node i's span of T_S elements, so the first key >= lo lies in
+        node ``start // span`` (clamped to the last node, which takes the
+        keys above every bound), and bisecting the bounds for lo would
+        give the same index. Walks those sub-indexes under their locks —
+        the lock hand-off of Algorithm 2's linked-leaf scan, expressed
+        per partition.
         """
         # Bands are narrow relative to partition widths: when hi falls
-        # inside lo's partition the second search is skipped (the common
+        # inside lo's partition the search for hi is skipped (the common
         # case; mirrors Algorithm 2's range check).
         b = self._bounds
-        i = bisect_left(b, lo) if b else 0
-        last = i if i == len(b) or hi <= b[i] else bisect_left(b, hi, i + 1)
+        n = len(b)
+        i = start // self._span
+        if i >= n:
+            i = last = n
+        else:
+            last = i if hi <= b[i] else bisect_left(b, hi, i + 1)
         # Empty sub-indexes (no inserts since the last merge) are skipped
         # without locking — Algorithm 2's range check against chains of
         # empty sub-indexes; benign under concurrency because

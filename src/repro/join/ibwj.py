@@ -66,7 +66,12 @@ class _Adapter:
 
     ``timed_probe(lo, hi, min_pos, costs)`` is ``probe`` for measure
     mode: it calls the parts ``probe`` is made of and adds each part's
-    wall time to one step of ``costs``."""
+    wall time to one step of ``costs``.
+
+    Adapters call their index as ``self.idx.<method>`` (or
+    ``self.tree.<method>``) at call time and never keep bound methods:
+    the benchmark's index tracer replaces those methods on the index
+    object after the factory returns."""
 
     def insert(self, key: int, pos: int) -> None:
         raise NotImplementedError
@@ -210,7 +215,7 @@ class PIMAdapter(_Adapter):
         t1 = time.perf_counter()
         out = t_s.scan(start, hi, min_pos)
         t2 = time.perf_counter()
-        self.idx.search_subindexes(lo, hi, min_pos, out)
+        self.idx.search_subindexes(lo, hi, min_pos, out, start)
         t3 = time.perf_counter()
         costs.search += t1 - t0
         costs.scan += t2 - t1
@@ -291,9 +296,15 @@ def run_ibwj(
     retires = hasattr(idx_r, "retire")
     if retires and owners is not None and not all(owners):
         raise ValueError(f"{type(idx_r).__name__} cannot run with an owner mask")
+    # Per arriving side, built once: (index it probes, index it inserts
+    # into, opposite window, own window, opposite side). A self-join's
+    # opposite side is its own.
     win = {"R": w_r, "S": w_s}
-    own = {"R": idx_r, "S": idx_s}
-    opp = {"R": idx_s, "S": idx_r}
+    idx = {"R": idx_r, "S": idx_s}
+    route = {}
+    for side, other in (("R", "S"), ("S", "R")):
+        o = side if self_join else other
+        route[side] = (idx[o], idx[side], win[o], win[side], o)
     # Key by (side, spos) to retire expired tuples, built only for an
     # index that deletes them; gpos by (side, spos) names the earlier
     # tuple of a pair, so runs without pairs (steady-state tables,
@@ -316,18 +327,16 @@ def run_ibwj(
             side = sides[t]
             spos = sposs[t]
             x = xs[t]
-            opp_side = side if self_join else ("S" if side == "R" else "R")
-            w_opp = win[opp_side]
-            w_own = win[side]
+            probed, own, w_opp, w_own, opp_side = route[side]
             # Step 1 — probe the opposite window for band matches.
             min_pos = opps[t] - w_opp + 1
             lo, hi = x - diff, x + diff
             if t < warmup and not probe_during_warmup:
                 matches = ()
             elif measure:
-                matches = opp[side].timed_probe(lo, hi, min_pos, costs)
+                matches = probed.timed_probe(lo, hi, min_pos, costs)
             else:
-                matches = opp[side].probe(lo, hi, min_pos)
+                matches = probed.probe(lo, hi, min_pos)
             n_matches += len(matches)
             if pairs is not None and t >= warmup:
                 g = gposs[t]
@@ -342,18 +351,18 @@ def run_ibwj(
                 ekey = key_of[side][epos]
                 if measure:
                     t0 = time.perf_counter()
-                    own[side].retire(ekey, epos)
+                    own.retire(ekey, epos)
                     costs.delete += time.perf_counter() - t0
                 else:
-                    own[side].retire(ekey, epos)
+                    own.retire(ekey, epos)
             # Step 3 — insert the new tuple, then maintenance (merges).
             if measure:
                 t0 = time.perf_counter()
-                own[side].insert(x, spos)
+                own.insert(x, spos)
                 costs.insert += time.perf_counter() - t0
             else:
-                own[side].insert(x, spos)
-            own[side].maintain(spos - w_own + 1, costs, measure)
+                own.insert(x, spos)
+            own.maintain(spos - w_own + 1, costs, measure)
 
         elapsed = time.perf_counter() - t_start
     costs.n_tuples = n - warmup

@@ -157,7 +157,7 @@ def test_pim_route_matches_ts_route():
                 # route(lo)..route(hi)
                 span = range(route(lo), route(hi) + 1)
                 l0 = t.lock_acquisitions
-                got = t.search_subindexes(lo, hi, -1, [])
+                got = t.search_subindexes(lo, hi, -1, [], t.t_s.find_start(lo))
                 assert t.lock_acquisitions - l0 == sum(
                     1 for i in span if t.insert_counts[i]
                 )

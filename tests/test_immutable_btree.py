@@ -1,4 +1,6 @@
 """Unit tests for the immutable (CSS-style) B+-Tree."""
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,38 @@ def test_route_partitions_cover_all_elements():
         size = _FANOUT ** (t.height - depth)
         routed = np.minimum(np.searchsorted(bounds, keys, "left"), len(bounds) - 1)
         assert routed.tolist() == [j // size for j in range(len(keys))]
+
+
+@pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 1023, 1024, 1025, 40000])
+@settings(max_examples=8, deadline=None)
+@given(
+    fanout=st.sampled_from([4, 8, 32]),
+    run=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seek_position_names_the_partition(n, fanout, run, seed):
+    """At every depth, up to past the deepest level, the seek's position
+    divided by ``partition_span`` and clamped to the last node equals one
+    bisect of ``lo`` over the bounds but the last: PIM-Tree's probe and
+    insert routes agree. Keys come in runs of about ``run`` equal keys,
+    so runs cross chunk borders; probes hit every bound, its neighbours
+    and keys beyond both ends."""
+    rng = np.random.default_rng(seed)
+    keys = np.sort(rng.integers(0, max(1, n // run), n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(immutable_btree, "_FANOUT", fanout)
+        t = ImmutableBTree(keys, np.arange(1, n + 1))
+        for depth in range(t.height + 3):
+            bounds = t.partition_bounds(depth).tolist()
+            routed = bounds[:-1]
+            span = t.partition_span(depth)
+            probes = set(keys[:: max(1, n // 500)].tolist()) | {-1, n + 1}
+            probes.update(b + d for b in bounds for d in (-1, 0, 1))
+            for lo in sorted(probes):
+                # len(routed) is len(bounds) - 1, or 0 with no bounds
+                assert min(t.find_start(lo) // span, len(routed)) == bisect_left(
+                    routed, lo
+                )
 
 
 def test_partition_bounds_grow_with_depth():

@@ -2,10 +2,12 @@
 by committed results, every generator reached, ``results/`` laid out as
 ``run_table`` and ``jobs/run_all.py`` write it. Runs no table."""
 import ast
+import importlib.util
 import inspect
 import os
 import re
 import subprocess
+from pathlib import Path
 
 import pandas as pd
 
@@ -112,3 +114,62 @@ def test_git_sha_marks_uncommitted_src(monkeypatch, tmp_path):
     assert report._git_sha() == sha
     (tmp_path / "src" / "m.py").write_text("x = 2\n")
     assert report._git_sha() == f"{sha}+dirty"
+
+
+def test_stale_lists_tables_whose_footer_predates_src(monkeypatch, tmp_path, capsys):
+    """``run_all.py --stale`` names the tables whose footer has no sha,
+    a ``+dirty`` one, or a sha a later ``src/repro/`` commit follows;
+    a later commit elsewhere leaves a table current. It starts no Spark
+    session and writes nothing."""
+
+    def git(*args):
+        out = subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True, text=True,
+        )
+        return out.stdout.strip()
+
+    def commit(path, text):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text(text)
+        git("add", "-A")
+        git("commit", "-q", "-m", path)
+        return git("rev-parse", "--short", "HEAD")
+
+    git("init", "-q")
+    old = commit("src/repro/m.py", "x = 1\n")
+    new = commit("src/repro/m.py", "x = 2\n")
+    commit("README.md", "docs only\n")
+    names = list(TABLES)[:6]
+    footers = {
+        names[0]: f"_generated in 1.0s on 4 cores at {old}_",
+        names[1]: f"_generated in 1.0s on 4 cores at {new}_",
+        names[2]: "_generated in 17.5s_",
+        names[3]: f"_generated in 1.0s on 4 cores at {new}+dirty_",
+        names[4]: "_generated in 1.0s on 4 cores at unknown_",
+    }
+    results = tmp_path / "results"
+    results.mkdir()
+    for name, footer in footers.items():
+        (results / f"{name}.md").write_text(f"## {name}\n\n| a |\n\n{footer}\n")
+    monkeypatch.setattr(report, "RESULTS_DIR", results)
+    expected = [
+        (names[0], f"{old} predates 1 src/repro commit(s)"),
+        (names[2], "footer names no sha"),
+        (names[3], f"made from uncommitted src/ at {new}"),
+        (names[4], "footer names no sha"),
+        (names[5], "no results file"),
+    ]
+    assert report.stale_tables(names) == expected
+
+    spec = importlib.util.spec_from_file_location(
+        "run_all", Path(report.__file__).parents[3] / "jobs" / "run_all.py"
+    )
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    monkeypatch.setattr(run_all, "get_spark", None)  # calling it would fail
+    monkeypatch.setattr("sys.argv", ["run_all.py", "--stale", *names])
+    before = sorted(p.name for p in results.iterdir())
+    run_all.main()
+    assert capsys.readouterr().out.splitlines() == [f"{n}: {r}" for n, r in expected]
+    assert sorted(p.name for p in results.iterdir()) == before

@@ -1,11 +1,13 @@
 """The modelling decisions of the simulated tables, each made in one
 place: how a thread count above the paper's 8 physical cores is modelled
-(``_on_paper_machine``), and how long a configuration's calibration run
-is and how many sub-indexes it has (``_pim_calibration``)."""
+(``_on_paper_machine``); how long a configuration's calibration run is
+and how many sub-indexes it has (``_pim_calibration``); and the
+whole-cycle run length T17's measured rows share with it."""
 import numpy as np
 import pytest
 
 from repro.bench import tables_parallel as tp
+from repro.bench.tables_single import steady_state
 from repro.concurrency.simulator import (
     ServiceTimes,
     SimConfig,
@@ -14,6 +16,7 @@ from repro.concurrency.simulator import (
 )
 from repro.core.immutable_btree import ImmutableBTree
 from repro.core.pim_tree import PIMTree
+from repro.join import ibwj
 
 ST = ServiceTimes(lock_free=4e-6, locked=4e-6, task_acquire=1e-6)
 
@@ -85,3 +88,22 @@ def test_pim_calibration_times_whole_merge_cycles(w, m):
     assert res.n_processed >= 20_000
     assert st.merge_interval == threshold
     assert st.merge_duration == c.merge / c.n_merges
+
+
+@pytest.mark.parametrize("self_join", [False, True], ids=["two_way", "self"])
+def test_whole_cycle_runs_end_on_a_merge(self_join):
+    """T17's single-threaded rows time ``_whole_cycles`` tuples after the
+    2w prefill, as the calibration does: every merge they pay is whole,
+    and the run ends on one."""
+    w = 1 << 10
+    built = []
+
+    def factory(win):
+        built.append(ibwj.PIMAdapter(win, 1.0, 2))
+        return built[-1]
+
+    n = tp._whole_cycles(w, 1.0)
+    res = steady_state(factory, w, n_process=n, self_join=self_join, measure=True)
+    assert n >= 20_000 and n % (2 * w) == 0
+    assert res.costs.n_merges == n // w
+    assert all(len(a.idx) == len(a.idx.t_s) == w for a in built)  # T_I empty
