@@ -29,11 +29,12 @@ def main() -> None:
         "names", nargs="*", metavar="NAME",
         help="tables to run (default: all, in registry order)",
     )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--smoke", action="store_true",
         help="shrunken sweeps; print only, do not write results/",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--stale", action="store_true",
         help="run nothing; list the tables whose results predate src/repro",
     )
