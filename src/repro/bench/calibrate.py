@@ -8,7 +8,9 @@ for every index:
 
 - lock-free: the probe's search and scan, and the driver's own per-tuple
   work;
-- locked: the probe's sub-index (T_I) part, the insert and the delete;
+- subindex, the probe's sub-index (T_I) part, and update, the insert
+  and the delete: held under the locks of the run's own lock sequence
+  (``locks``, for PIM), which the simulator replays;
 - merge duration: the mean of the run's own merges; merge interval: the
   run's tuples per merge.
 
@@ -40,14 +42,15 @@ MERGE_SCAN_SURCHARGE = 2.0
 
 
 def measure(
-    factory, w: int, *, n_process: int, match_rate: float = 2.0
+    factory, w: int, *, n_process: int, match_rate: float = 2.0,
+    self_join: bool = False,
 ) -> ibwj.JoinResult:
     """Time ``n_process`` tuples of the IBWJ driver over ``factory``'s
     indexes at window size ``w``, with per-step costs. The window is
-    pre-filled with 2w tuples (both streams) of the seed-0 stream."""
+    pre-filled with 2w tuples of the seed-0 (two-way or self-join) stream."""
     return steady_state(
         factory, w, n_process=n_process, match_rate=match_rate, seed=0,
-        measure=True,
+        self_join=self_join, measure=True,
     )
 
 
@@ -61,8 +64,10 @@ def service_times(res: ibwj.JoinResult) -> ServiceTimes:
     driver = max(0.0, 1.0 / res.throughput - sum(p.values()))
     return ServiceTimes(
         lock_free=p["search"] + p["scan"] + driver,
-        locked=p["subindex"] + p["insert"] + p["delete"],
+        subindex=p["subindex"],
+        update=p["insert"] + p["delete"],
         merge_duration=c.merge / c.n_merges if c.n_merges else 0.0,
         merge_interval=max(1, c.n_tuples) // c.n_merges if c.n_merges else 0,
         scan_surcharge=MERGE_SCAN_SURCHARGE * p["scan"],
+        locks=res.locks,
     )

@@ -16,11 +16,11 @@ import numpy as np
 import pandas as pd
 
 from repro.bench import calibrate
-from repro.bench.tables_single import _timed, steady_state
+from repro.bench.tables_single import _timed, drift_runs, steady_state
+from repro.bench.tables_single import table_drift_insert_distribution
 from repro.concurrency.simulator import (
     SimConfig,
     SimResult,
-    drift_partition_probs,
     simulate,
     simulate_round_robin,
 )
@@ -52,53 +52,30 @@ def _on_paper_machine(run, n_threads: int):
     return min(full, HT_SPEEDUP * cores)
 
 
-def _simulate_pim(
-    st,
-    n_parts: int,
-    n_threads: int,
-    *,
-    task_size: int = 8,
-    partition_probs=None,
-    nonblocking: bool = True,
+def _simulate(
+    st, n_threads: int, *, task_size: int = 8, nonblocking: bool = True,
+    n_pages: int = 16,
 ) -> SimResult:
-    """Simulate the PIM join with ``n_threads`` threads on the paper's
+    """Simulate the join with ``n_threads`` threads on the paper's
     machine (``_on_paper_machine``). The simulated stream covers >= 3
     merge cycles — otherwise large-m configurations would never pay a
     merge and multithreaded throughput would be overstated."""
     n = N_SIM_TUPLES
     if st.merge_interval:
         n = min(400_000, max(n, int(3.2 * st.merge_interval)))
-    return _on_paper_machine(
-        lambda p: simulate(
-            SimConfig(
-                n_threads=p,
-                n_tuples=n,
-                task_size=task_size,
-                mode="pim",
-                n_partitions=n_parts,
-                partition_probs=partition_probs,
-                nonblocking_merge=nonblocking,
-            ),
-            st,
-        ),
-        n_threads,
+    cfg = functools.partial(
+        SimConfig, n_tuples=n, task_size=task_size, n_pages=n_pages,
+        nonblocking_merge=nonblocking,
     )
+    return _on_paper_machine(lambda p: simulate(cfg(p), st), n_threads)
 
 
 def _simulate_bw(res: ibwj.JoinResult, w: int, n_threads: int) -> SimResult:
-    """Simulate the IBWJ join over one shared Bw-Tree-like index, with the
-    service times of the calibration run ``res``, on the paper's machine.
-    CAS conflicts are counted per page; a window of w fills w / 64 pages
-    of ``BwAdapter``'s default capacity."""
+    """``_simulate`` over the Bw calibration run ``res``: CAS conflicts
+    are counted per page, and a window of w fills w / 64 pages of
+    ``BwAdapter``'s default capacity."""
     st = calibrate.service_times(res)
-    return _on_paper_machine(
-        lambda p: simulate(
-            SimConfig(n_threads=p, n_tuples=N_SIM_TUPLES, mode="bw",
-                      n_partitions=max(4, w // 64)),
-            st,
-        ),
-        n_threads,
-    )
+    return _simulate(st, n_threads, n_pages=max(4, w // 64))
 
 
 @functools.cache
@@ -118,17 +95,18 @@ def _whole_cycles(w: int, merge_ratio: float) -> int:
 
 
 @functools.cache
-def _pim_calibration(w: int, d_i: int, merge_ratio: float, match_rate: float):
-    """(calibration run, service_times, n_partitions, (bytes loaded,
-    bytes stored)) for one config, calibrated once per process, so every
-    table that simulates a config shares one run.
+def _pim_calibration(
+    w: int, d_i: int, merge_ratio: float, match_rate: float, *, self_join: bool
+):
+    """(calibration run, service_times, (bytes loaded, bytes stored)) for
+    one config, calibrated once per process, so every table that
+    simulates a config shares one run. ``self_join`` has no default, so
+    each config has one cache key.
 
     The run times k whole merge cycles per stream (``_whole_cycles``):
     its 2k merges are the join's own, its merge interval is the
     threshold, and its T_I costs cover T_I's growth from empty to full.
-    ``n_partitions`` is the sub-index count of the run's
-    PIM-Tree, whose T_S holds the w-element window after that last
-    merge. The byte counts are both trees' ``PIMTree.bytes_moved``, prefill
+    The byte counts are the trees' ``PIMTree.bytes_moved``, prefill
     included.
     """
     built = []
@@ -139,17 +117,10 @@ def _pim_calibration(w: int, d_i: int, merge_ratio: float, match_rate: float):
 
     res = calibrate.measure(
         factory, w, n_process=_whole_cycles(w, merge_ratio),
-        match_rate=match_rate,
+        match_rate=match_rate, self_join=self_join,
     )
-    loads = stores = 0
-    for a in built:
-        loaded, stored = a.idx.bytes_moved()
-        loads += loaded
-        stores += stored
-    return (
-        res, calibrate.service_times(res), built[0].idx.n_subindexes,
-        (loads, stores),
-    )
+    moved = tuple(map(sum, zip(*(a.idx.bytes_moved() for a in built))))
+    return res, calibrate.service_times(res), moved
 
 
 def table_existing_approaches(scale: str = "full") -> pd.DataFrame:
@@ -209,9 +180,9 @@ def table_insertion_depth_parallel(scale: str = "full") -> pd.DataFrame:
     for w in ws:
         row = {"w": w}
         for d in depths:
-            _, st, n_parts, _ = _pim_calibration(w, d, 1.0, 2.0)
-            row[f"d{d}"] = _simulate_pim(st, n_parts, HW_THREADS).throughput
-            row[f"d{d}_nsub"] = n_parts
+            _, st, _ = _pim_calibration(w, d, 1.0, 2.0, self_join=False)
+            row[f"d{d}"] = _simulate(st, HW_THREADS).throughput
+            row[f"d{d}_nsub"] = max(st.locks.insert_keys) // 2 + 1
         rows.append(row)
     return pd.DataFrame(rows)
 
@@ -226,8 +197,8 @@ def table_merge_ratio_parallel(scale: str = "full") -> pd.DataFrame:
     for w in ws:
         row = {"w": w}
         for m in ms:
-            _, st, n_parts, _ = _pim_calibration(w, 2, m, 2.0)
-            sim = _simulate_pim(st, n_parts, HW_THREADS)
+            _, st, _ = _pim_calibration(w, 2, m, 2.0, self_join=False)
+            sim = _simulate(st, HW_THREADS)
             label = f"m=2^{int(np.log2(m))}" if m < 1 else "m=1"
             row[label] = sim.throughput
         rows.append(row)
@@ -238,10 +209,10 @@ def table_task_size(scale: str = "full") -> pd.DataFrame:
     """Figs. 10c/10d: throughput and latency vs task size 1..10."""
     w = 1 << (16 if scale == "full" else 13)
     sizes = list(range(1, 11)) if scale == "full" else [1, 8]
-    _, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
+    _, st, _ = _pim_calibration(w, 2, 1.0, 2.0, self_join=False)
     rows = []
     for ts in sizes:
-        sim = _simulate_pim(st, n_parts, HW_THREADS, task_size=ts)
+        sim = _simulate(st, HW_THREADS, task_size=ts)
         rows.append(
             {
                 "task_size": ts,
@@ -256,7 +227,8 @@ def table_task_size(scale: str = "full") -> pd.DataFrame:
 def table_scalability(scale: str = "full") -> pd.DataFrame:
     """Fig. 12a: two-way and self-join throughput vs thread count,
     against the single-threaded no-CC implementation; reports the CC
-    overhead the paper measures (~40 % / ~26 %).
+    overhead the paper measures (~40 % / ~26 %). Each join's simulated
+    rows replay its own calibration's locks.
 
     The single-threaded runs time as many whole merge cycles as the
     calibration behind the simulated rows (``_whole_cycles``), so both
@@ -264,11 +236,11 @@ def table_scalability(scale: str = "full") -> pd.DataFrame:
     a stream the calibration (seed 0) never saw."""
     w = 1 << (16 if scale == "full" else 13)
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
-    _, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
     n_cc = _whole_cycles(w, 1.0)
     rows = []
     for self_join in (False, True):
         tag = "self" if self_join else "two_way"
+        _, st, _ = _pim_calibration(w, 2, 1.0, 2.0, self_join=self_join)
         no_cc = steady_state(
             lambda win: ibwj.PIMAdapter(win, 1.0, 2, use_locks=False),
             w, self_join=self_join, n_process=n_cc,
@@ -278,7 +250,7 @@ def table_scalability(scale: str = "full") -> pd.DataFrame:
             w, self_join=self_join, n_process=n_cc,
         ).throughput
         for p in threads:
-            eff = _simulate_pim(st, n_parts, p).throughput
+            eff = _simulate(st, p).throughput
             rows.append(
                 {
                     "join": tag,
@@ -304,7 +276,7 @@ def table_multithreading_efficiency(scale: str = "full") -> pd.DataFrame:
     rows = []
     for w in ws:
         bp = _calibration(ibwj.BPlusAdapter, w, 16000)
-        pim, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
+        pim, st, _ = _pim_calibration(w, 2, 1.0, 2.0, self_join=False)
         bw = _calibration(ibwj.BwAdapter, w, 8000)
         rows.append(
             {
@@ -312,9 +284,9 @@ def table_multithreading_efficiency(scale: str = "full") -> pd.DataFrame:
                 "bplus_st": bp.throughput,
                 "pim_st": pim.throughput,
                 "bw_mt": _simulate_bw(bw, w, HW_THREADS).throughput,
-                "pim_mt": _simulate_pim(st, n_parts, HW_THREADS).throughput,
-                "pim_mt_blocking": _simulate_pim(
-                    st, n_parts, HW_THREADS, nonblocking=False
+                "pim_mt": _simulate(st, HW_THREADS).throughput,
+                "pim_mt_blocking": _simulate(
+                    st, HW_THREADS, nonblocking=False
                 ).throughput,
             }
         )
@@ -333,8 +305,8 @@ def table_selfjoin(scale: str = "full") -> pd.DataFrame:
             lambda win: ibwj.PIMAdapter(win, 1.0, 2), w,
             merge_ratio=1.0, self_join=True,
         ).throughput
-        _, st, n_parts, _ = _pim_calibration(w, 2, 1.0, 2.0)
-        sim = _simulate_pim(st, n_parts, HW_THREADS)
+        _, st, _ = _pim_calibration(w, 2, 1.0, 2.0, self_join=True)
+        sim = _simulate(st, HW_THREADS)
         rows.append(
             {
                 "w": w,
@@ -356,8 +328,8 @@ def table_match_rate_parallel(scale: str = "full") -> pd.DataFrame:
     rates = [2**-2, 2**2, 2**6, 2**10] if scale == "full" else [1.0]
     rows = []
     for r in rates:
-        res, st, n_parts, _ = _pim_calibration(w, 2, 1.0, r)
-        sim = _simulate_pim(st, n_parts, HW_THREADS)
+        res, st, _ = _pim_calibration(w, 2, 1.0, r, self_join=False)
+        sim = _simulate(st, HW_THREADS)
         rows.append(
             {
                 "match_rate": r,
@@ -371,20 +343,15 @@ def table_match_rate_parallel(scale: str = "full") -> pd.DataFrame:
 
 def table_drift_throughput(scale: str = "full") -> pd.DataFrame:
     """Fig. 13b: parallel self-join throughput during a distribution
-    drift of speed r — the drifted insert skew (measured, Fig. 13a
-    analogue) congests partition locks; stationary phases recover."""
-    w = 1 << (14 if scale == "full" else 12)
-    rs = [0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0] if scale == "full" else [0.0, 1.0]
-    from repro.bench.tables_single import table_drift_insert_distribution
-
-    dist = table_drift_insert_distribution(scale)
-    _, st, n_parts, _ = _pim_calibration(w, 3, 1.0, 2.0)
+    drift of speed r, simulated over T21's run for that r
+    (``tables_single.drift_runs``): its service times and lock sequence.
+    That run times 1.5w tuples, so it sees one merge and its merge
+    interval reads 1.5w. ``speedup_vs_st`` divides by the same run's
+    measured rate, which cancels the runs' timing noise."""
+    shares = table_drift_insert_distribution(scale)["max_share"]
     rows = []
-    for r in rs:
-        share = float(dist.loc[dist["r"] == r, "max_share"].iloc[0])
-        skew = min(1.0, max(0.0, (share * n_parts - 1) / max(n_parts - 1, 1)))
-        probs = drift_partition_probs(n_parts, skew)
-        sim = _simulate_pim(st, n_parts, HW_THREADS, partition_probs=probs)
+    for (r, res), share in zip(drift_runs(scale).items(), shares):
+        sim = _simulate(calibrate.service_times(res), HW_THREADS)
         if r == 0.0:
             base = sim.throughput
         rows.append(
@@ -393,6 +360,7 @@ def table_drift_throughput(scale: str = "full") -> pd.DataFrame:
                 "measured_max_insert_share": share,
                 "throughput": sim.throughput,
                 "relative_to_stationary": sim.throughput / base,
+                "speedup_vs_st": sim.throughput / res.throughput,
             }
         )
     return pd.DataFrame(rows)
@@ -507,12 +475,12 @@ def table_memory_bandwidth(scale: str = "full") -> pd.DataFrame:
     threads = [1, 2, 4, 8, 16] if scale == "full" else [1, 4]
     # Bytes per tuple from the calibration run's own trees: only the
     # timed tuples probe, and every tuple, prefill included, inserts.
-    res, st, n_parts, (loads, stores) = _pim_calibration(w, 2, 1.0, 2.0)
+    res, st, (loads, stores) = _pim_calibration(w, 2, 1.0, 2.0, self_join=False)
     per_tuple_load = loads / res.n_processed
     per_tuple_store = stores / (2 * w + res.n_processed)
     rows = []
     for p in threads:
-        sim = _simulate_pim(st, n_parts, p)
+        sim = _simulate(st, p)
         load_bw = per_tuple_load * sim.throughput
         store_bw = per_tuple_store * sim.throughput
         rows.append(

@@ -10,6 +10,7 @@ the sweep.
 """
 from __future__ import annotations
 
+import functools
 import time
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.core.pim_tree import PIMTree
 from repro.join import ibwj
 from repro.join.streams import (
     diff_for_match_rate,
+    diff_for_match_rate_empirical,
     gen_stream,
     shifting_gaussian_stream,
 )
@@ -258,54 +260,45 @@ def table_asymmetric_windows_single(scale: str = "full") -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def table_drift_insert_distribution(scale: str = "full") -> pd.DataFrame:
-    """Fig. 13a: distribution of inserts across sub-indexes while the key
-    distribution drifts at speed r (self-join, shifting Gaussian).
-
-    Reports the max sub-index share and the fraction of idle sub-indexes
-    during phase 2 (paper r=1: 77 % of inserts on one sub-index, ~70 %
-    idle)."""
+@functools.cache
+def drift_runs(scale: str = "full") -> dict[float, ibwj.JoinResult]:
+    """Per drift speed r, the measure-mode PIM self-join (m = 1, D_I = 3)
+    T21 and T22 share. Phase 1 fills the window without probes; phase 2
+    is timed. With m = 1 the ranges re-adapt every w inserts, so phase 2
+    spans ~1.5 of them and r = 1 pushes most of the shift past the
+    indexed range (the Fig. 13a single-sub-index capture)."""
     w = 1 << (14 if scale == "full" else 12)
-    d_i = 3
     rs = [0.0, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0] if scale == "full" else [0.0, 1.0]
-    # Phase lengths are scaled so the drift *per merge interval* at the
-    # reduced window matches the paper's severe regime: with merge ratio
-    # 1 the ranges re-adapt every w inserts, so phase 2 spans ~1.5
-    # adaptation intervals and r=1 pushes most of the shift past the
-    # previously indexed range (the Fig. 13a single-sub-index capture).
-    n1 = 2 * w
+    n1 = 2 * w  # ends with a merge, so phase 2 starts on empty sub-indexes
     n2 = int(1.5 * w) if scale == "full" else 2 * w
-    rows = []
+    runs = {}
     for r in rs:
         seq = shifting_gaussian_stream(n1, n2, 0, r=r, seed=2)
-        tree = PIMTree(w, 1.0, d_i)
-        xs = seq["x"].tolist()
-        # Sub-index identities change at each merge (ranges re-adapt);
-        # accumulate per-position insert counts across phase-2 merges,
-        # as the paper's normalised Fig. 13a histogram does.
-        acc = np.zeros(4096, float)
-        max_subs = 1
-        in_phase2 = False
-        for p, x in enumerate(xs, 1):
-            tree.insert(x, p)
-            if tree.needs_merge():
-                if in_phase2:
-                    c = np.asarray(tree.insert_counts, float)
-                    acc[: len(c)] += c
-                    max_subs = max(max_subs, len(c))
-                tree.merge(p - w + 1)
-            if p == n1:  # n1 = 2w inserts end with a merge: counts start at 0
-                in_phase2 = True
-        c = np.asarray(tree.insert_counts, float)
-        acc[: len(c)] += c
-        max_subs = max(max_subs, len(c))
-        counts = acc[:max_subs]
-        total = counts.sum()
+        diff = diff_for_match_rate_empirical(seq["x"].to_numpy(), w, 2.0)
+        runs[r] = ibwj.run_ibwj(
+            seq, w, w, diff, lambda win: ibwj.PIMAdapter(win, 1.0, 3),
+            self_join=True, collect_pairs=False, measure=True,
+            warmup=n1, probe_during_warmup=False,
+        )
+    return runs
+
+
+def table_drift_insert_distribution(scale: str = "full") -> pd.DataFrame:
+    """Fig. 13a: distribution of inserts across sub-indexes while the key
+    distribution drifts at speed r (``drift_runs``): the max sub-index
+    share and the fraction of idle sub-indexes during phase 2 (paper
+    r=1: 77 % of inserts on one sub-index, ~70 % idle). The counts are
+    per sub-index position, summed across merges (which re-partition),
+    as the paper's normalised Fig. 13a histogram does."""
+    rows = []
+    for r, res in drift_runs(scale).items():
+        # a self-join's one tree: lock 2 * i is sub-index i
+        counts = np.bincount(np.frombuffer(res.locks.insert_keys, np.int64) // 2)
         rows.append(
             {
                 "r": r,
-                "n_subindexes": max_subs,
-                "max_share": counts.max() / total,
+                "n_subindexes": len(counts),
+                "max_share": counts.max() / counts.sum(),
                 "idle_frac": float((counts == 0).mean()),
             }
         )

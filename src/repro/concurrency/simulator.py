@@ -12,9 +12,9 @@ Modelled mechanisms (each one is a measured phenomenon in the paper):
 
 - shared work-queue mutex + per-task acquisition cost (task-size sweep,
   Fig. 10c/d);
-- per-partition locks: a tuple's sub-index work serialises on the
-  partition drawn from ``partition_probs`` (D_I congestion Fig. 8d,
-  drift congestion Fig. 13b);
+- PIM partition locks, replayed from the calibration run's own locks
+  (``ibwj.LockTrace``): two trees' lock sets in a two-way join, one in a
+  self-join, with D_I's (Fig. 8d) and a drift's (Fig. 13a/b) congestion;
 - Bw-Tree CAS conflicts: expected retry work grows with the probability
   that another in-flight op hits the same page (Fig. 8a/13c);
 - round-robin probe fan-out: every thread searches its local index for
@@ -28,9 +28,12 @@ Modelled mechanisms (each one is a measured phenomenon in the paper):
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.join.ibwj import LockTrace
 
 CAS_RETRY_FACTOR = 1.0  # fraction of locked work redone per CAS retry
 RR_SYNC_OVERHEAD = 1e-6  # round-robin per-tuple synchronisation (s)
@@ -41,11 +44,13 @@ class ServiceTimes:
     """Per-tuple service times in seconds (calibrated, not guessed)."""
 
     lock_free: float  # T_S descent + T_S leaf scan + bookkeeping
-    locked: float  # sub-index seek/scan/insert/delete under the partition lock
+    subindex: float  # the probe's sub-index part, under the probed tree's locks
+    update: float  # insert + delete, under the own tree's lock (Bw: CAS)
     task_acquire: float = 2e-6  # queue mutex hold per task
     merge_duration: float = 0.0  # one merge rebuild
     merge_interval: int = 0  # tuples between merges (0 = never)
     scan_surcharge: float = 0.0  # extra lookup cost during nonblocking merge
+    locks: LockTrace | None = field(default=None, repr=False)  # PIM only
 
 
 @dataclass
@@ -53,9 +58,7 @@ class SimConfig:
     n_threads: int
     n_tuples: int
     task_size: int = 8
-    mode: str = "pim"  # pim | bw
-    n_partitions: int = 16  # sub-indexes (pim) / pages (bw)
-    partition_probs: np.ndarray | None = None  # default uniform
+    n_pages: int = 16  # Bw (no lock trace): pages a CAS can conflict on
     nonblocking_merge: bool = True
 
 
@@ -75,22 +78,23 @@ def simulate(cfg: SimConfig, st: ServiceTimes, keep_trace: bool = False) -> SimR
 
     Threads repeatedly: wait for the queue mutex, take ``task_size``
     tuples, then process them sequentially — lock-free work, then the
-    partition-lock (or CAS) protected work. Completion times feed the
-    ordered-propagation latency.
+    lock (or CAS) protected work. With a lock trace (PIM), tuple j
+    replays tuple ``j % n`` of the n in ``st.locks``: ``subindex`` is
+    split over the locks its probe took, held one after another
+    (lock-free if none), then its insert's lock is held for ``update``.
+    Without one (Bw), ``update`` pays CAS retries. Completion times feed
+    the ordered-propagation latency. ``keep_trace`` records every lock
+    hold as ``(tuple, lock, start, end)``.
     """
-    import heapq
-
-    rng = np.random.default_rng(0)
     n, p = cfg.n_tuples, cfg.n_threads
-    probs = cfg.partition_probs
-    if probs is None:
-        probs = np.full(cfg.n_partitions, 1.0 / cfg.n_partitions)
-    else:
-        probs = np.asarray(probs, float)
-        probs = probs / probs.sum()
-    parts = rng.choice(len(probs), size=n, p=probs).tolist()
+    locks = st.locks
+    if locks is not None:
+        probe_end = locks.probe_end.tolist()
+        probe_start = [0] + probe_end[:-1]
+        probe_keys = locks.probe_keys.tolist()
+        insert_keys = locks.insert_keys.tolist()
+        held_until = [0.0] * (max(probe_keys + insert_keys) + 1)
 
-    part_free = [0.0] * len(probs)
     queue_free = 0.0
     assign_time = np.zeros(n)
     complete_time = np.zeros(n)
@@ -102,11 +106,9 @@ def simulate(cfg: SimConfig, st: ServiceTimes, keep_trace: bool = False) -> SimR
 
     # Expected CAS retry overhead per op: another thread's op lands on the
     # same page with prob ~ (p-1)/n_pages; retried work is geometric.
-    if cfg.mode == "bw":
-        q = min(0.9, max(0.0, (p - 1) / max(1, cfg.n_partitions)))
+    if locks is None:
+        q = min(0.9, max(0.0, (p - 1) / max(1, cfg.n_pages)))
         cas_mult = 1.0 + CAS_RETRY_FACTOR * q / (1.0 - q)
-    else:
-        cas_mult = 1.0
 
     # Event loop over (time, thread): each step advances one thread by
     # ONE tuple, so simulated clocks stay synchronised and a lock wait
@@ -145,14 +147,22 @@ def simulate(cfg: SimConfig, st: ServiceTimes, keep_trace: bool = False) -> SimR
         if st.merge_interval and t < merge_until:
             work_free += st.scan_surcharge
         t += work_free
-        if cfg.mode == "pim":
-            pi = parts[j]
-            s = max(t, part_free[pi])
-            lock_wait += s - t
-            part_free[pi] = s + st.locked
-            t = s + st.locked
-        else:  # bw
-            t += st.locked * cas_mult
+        if locks is not None:
+            k = j % len(insert_keys)
+            probe = probe_keys[probe_start[k]:probe_end[k]]
+            if not probe:
+                t += st.subindex  # the probe met only empty sub-indexes
+            share = st.subindex / max(1, len(probe))
+            holds = [(key, share) for key in probe]
+            holds.append((insert_keys[k], st.update))
+            for key, dur in holds:
+                s = max(t, held_until[key])
+                lock_wait += s - t
+                t = held_until[key] = s + dur
+                if keep_trace:
+                    trace.append((j, key, s, t))
+        else:  # bw: the page read is latch-free, the updates CAS
+            t += st.subindex + st.update * cas_mult
         since_merge += 1
         if st.merge_interval and since_merge >= st.merge_interval:
             since_merge = 0
@@ -170,8 +180,6 @@ def simulate(cfg: SimConfig, st: ServiceTimes, keep_trace: bool = False) -> SimR
                 queue_free = max(queue_free, t) + st.merge_duration
                 t += st.merge_duration
         complete_time[j] = t
-        if keep_trace:
-            trace.append((j, w, int(parts[j]), assign_time[j], t))
         heapq.heappush(heap, (t, w))
 
     makespan = float(complete_time.max())
@@ -211,15 +219,3 @@ def simulate_round_robin(
         + RR_SYNC_OVERHEAD
     )
     return 1.0 / per_thread
-
-
-def drift_partition_probs(n: int, skew: float) -> np.ndarray:
-    """Insert-distribution skew across sub-indexes during a distribution
-    drift (paper Fig. 13a): ``skew`` = 0 is uniform; 1 concentrates ~77 %
-    of inserts on one sub-index (the paper's r = 1 measurement)."""
-    if n == 1:
-        return np.ones(1)
-    base = np.full(n, (1.0 - 0.77 * skew) / n)
-    hot = int(n // 2)
-    base[hot] += 0.77 * skew
-    return base / base.sum()

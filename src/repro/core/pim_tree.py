@@ -159,14 +159,14 @@ class PIMTree:
         return self._n_i >= self.merge_threshold
 
     # -- operations (Algorithm 1) -----------------------------------------
-    def insert(self, key: int, pos: int) -> None:
+    def insert(self, key: int, pos: int) -> int:
         b = self._bounds
         i = bisect_left(b, key) if b else 0
         if not self.use_locks:
             self.subindexes[i].insert(key, pos)
             self.insert_counts[i] += 1
             self._n_i += 1
-            return
+            return i
         lock = self.locks[i]
         lock.acquire()
         try:
@@ -176,6 +176,7 @@ class PIMTree:
             self._n_i += 1
         finally:
             lock.release()
+        return i
 
     def merge(self, min_pos: int) -> int:
         """Rebuild T_S from live T_S elements + all sub-index elements and
@@ -260,6 +261,16 @@ class PIMTree:
                     out.extend(self.subindexes[i].search_range(lo, hi, min_pos))
             i += 1
         return out
+
+    def probe_locks(self, hi: int, start: int) -> tuple[int, ...]:
+        """The sub-indexes ``search_subindexes(lo, hi, ..., start)`` locks:
+        the non-empty ones of its span. Measure mode records them."""
+        b, counts = self._bounds, self.insert_counts
+        i = min(start // self._span, len(b))
+        if i == len(b) or hi <= b[i]:  # one sub-index, the common case
+            return (i,) if counts[i] else ()
+        last = bisect_left(b, hi, i + 1)
+        return tuple(k for k in range(i, last + 1) if counts[k])
 
     def memory_bytes(self) -> int:
         return (

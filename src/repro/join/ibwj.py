@@ -12,11 +12,14 @@ With ``measure=True`` the driver accumulates per-step wall time —
 search, scan, subindex, insert, delete, merge — which backs the Fig. 9b
 cost breakdown and calibrates the concurrency simulator. A timed probe
 runs the production probe's own parts with a clock read between them;
-no step is timed on a copy of the code it stands for.
+no step is timed on a copy of the code it stands for. Over PIM-Trees,
+measure mode also records the sub-index locks each timed tuple takes
+(``LockTrace``), which the simulator replays.
 """
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +46,6 @@ class StepCosts:
     delete: float = 0.0
     merge: float = 0.0
     n_tuples: int = 0
-    n_matches: int = 0
     n_merges: int = 0
 
     def per_tuple(self) -> dict[str, float]:
@@ -193,8 +195,8 @@ class PIMAdapter(_Adapter):
             window, merge_ratio, insertion_depth, use_locks=use_locks
         )
 
-    def insert(self, key: int, pos: int) -> None:
-        self.idx.insert(key, pos)
+    def insert(self, key: int, pos: int) -> int:
+        return self.idx.insert(key, pos)  # the sub-index, for LockTrace
 
     def maintain(self, min_pos: int, costs: StepCosts, measure: bool) -> None:
         if self.idx.needs_merge():
@@ -220,6 +222,7 @@ class PIMAdapter(_Adapter):
         costs.search += t1 - t0
         costs.scan += t2 - t1
         costs.subindex += t3 - t2
+        self.probe_locks = self.idx.probe_locks(hi, start)  # for LockTrace
         return out
 
     def memory_bytes(self) -> int:
@@ -235,12 +238,26 @@ class IMAdapter(PIMAdapter):
 
 
 @dataclass
+class LockTrace:
+    """Sub-index locks of a measure-mode PIM run's timed tuples. Lock
+    ``2 * i + tree`` is sub-index i (as partitioned then) of tree 0, R's
+    index, or 1, S's (a self-join has tree 0 only). Tuple j's probe took
+    ``probe_keys[probe_end[j - 1]:probe_end[j]]`` (none if its band met
+    only empty sub-indexes), then its insert ``insert_keys[j]``."""
+
+    probe_end: array = field(default_factory=lambda: array("q"))
+    probe_keys: array = field(default_factory=lambda: array("q"))
+    insert_keys: array = field(default_factory=lambda: array("q"))
+
+
+@dataclass
 class JoinResult:
     pairs: list[tuple[int, int]] | None
     n_matches: int
     n_processed: int
     elapsed: float
     costs: StepCosts = field(default_factory=StepCosts)
+    locks: LockTrace | None = field(default=None, repr=False)  # measure, PIM
 
     @property
     def throughput(self) -> float:
@@ -271,7 +288,8 @@ def run_ibwj(
     the index state after warmup is identical (probes are read-only), so
     steady-state measurements are unaffected; it only avoids paying for
     throwaway probes on large windows. ``measure=True`` times each step
-    into ``costs``, the probe through the adapter's ``timed_probe``.
+    into ``costs``, the probe through the adapter's ``timed_probe``, and
+    over PIM-Trees records each timed tuple's locks into ``locks``.
 
     ``owner`` is a boolean array aligned with ``seq``'s rows; ``None``
     means every row inserts. A row with ``owner[t]`` False runs Step 1
@@ -297,14 +315,17 @@ def run_ibwj(
     if retires and owners is not None and not all(owners):
         raise ValueError(f"{type(idx_r).__name__} cannot run with an owner mask")
     # Per arriving side, built once: (index it probes, index it inserts
-    # into, opposite window, own window, opposite side). A self-join's
-    # opposite side is its own.
+    # into, opposite window, own window, opposite side, and the LockTrace
+    # trees of both indexes). A self-join's opposite side is its own.
     win = {"R": w_r, "S": w_s}
     idx = {"R": idx_r, "S": idx_s}
+    tree = {"R": 0, "S": 1}
     route = {}
     for side, other in (("R", "S"), ("S", "R")):
         o = side if self_join else other
-        route[side] = (idx[o], idx[side], win[o], win[side], o)
+        route[side] = (idx[o], idx[side], win[o], win[side], o, tree[o], tree[side])
+    traced = measure and isinstance(idx_r, PIMAdapter)
+    locks = None  # LockTrace of the timed tuples
     # Key by (side, spos) to retire expired tuples, built only for an
     # index that deletes them; gpos by (side, spos) names the earlier
     # tuple of a pair, so runs without pairs (steady-state tables,
@@ -323,11 +344,12 @@ def run_ibwj(
         for t in range(n):
             if t == warmup:
                 costs = StepCosts()  # warmup ops are excluded from the breakdown
+                locks = LockTrace() if traced else None
                 t_start = time.perf_counter()
             side = sides[t]
             spos = sposs[t]
             x = xs[t]
-            probed, own, w_opp, w_own, opp_side = route[side]
+            probed, own, w_opp, w_own, opp_side, p_tree, o_tree = route[side]
             # Step 1 — probe the opposite window for band matches.
             min_pos = opps[t] - w_opp + 1
             lo, hi = x - diff, x + diff
@@ -358,16 +380,20 @@ def run_ibwj(
             # Step 3 — insert the new tuple, then maintenance (merges).
             if measure:
                 t0 = time.perf_counter()
-                own.insert(x, spos)
+                sub = own.insert(x, spos)
                 costs.insert += time.perf_counter() - t0
+                if locks is not None:
+                    for i in probed.probe_locks:
+                        locks.probe_keys.append(2 * i + p_tree)
+                    locks.probe_end.append(len(locks.probe_keys))
+                    locks.insert_keys.append(2 * sub + o_tree)
             else:
                 own.insert(x, spos)
             own.maintain(spos - w_own + 1, costs, measure)
 
         elapsed = time.perf_counter() - t_start
     costs.n_tuples = n - warmup
-    costs.n_matches = n_matches
-    return JoinResult(pairs, n_matches, n - warmup, elapsed, costs)
+    return JoinResult(pairs, n_matches, n - warmup, elapsed, costs, locks)
 
 
 def pairs_df(pairs: list[tuple[int, int]]) -> pd.DataFrame:

@@ -1,5 +1,6 @@
 """Tests for the steady-state run every measured table shares and for
 the calibration bridge (measurements -> simulator service times)."""
+import numpy as np
 import pytest
 
 from repro.bench.calibrate import measure, service_times
@@ -56,7 +57,7 @@ def test_measure_merge_stats(pim_run):
 def test_pim_service_times(pim_run):
     st = service_times(pim_run)
     per = pim_run.costs.per_tuple()
-    assert st.lock_free > 0 and st.locked > 0
+    assert st.lock_free > 0 and st.subindex > 0 and st.update > 0
     assert per["delete"] == 0.0  # disposal happens inside the merge
     c = pim_run.costs
     assert st.merge_duration == c.merge / c.n_merges
@@ -64,23 +65,69 @@ def test_pim_service_times(pim_run):
     # harness driver overhead (so a 1-thread simulation reproduces the
     # measured single-threaded throughput).
     total_measured = sum(per[k] for k in ("search", "scan", "subindex", "insert"))
-    assert st.lock_free + st.locked >= total_measured * (1 - 1e-6)
-    # the measured T_I part of each probe is held under the partition lock
-    assert st.locked == pytest.approx(per["subindex"] + per["insert"])
-    assert st.lock_free + st.locked <= 1.0 / pim_run.throughput * 1.01
+    total = st.lock_free + st.subindex + st.update
+    assert total >= total_measured * (1 - 1e-6)
+    # the measured T_I part of each probe is held under the probed tree's
+    # locks, the insert under its own tree's
+    assert st.subindex == per["subindex"]
+    assert st.update == pytest.approx(per["insert"])
+    assert total <= 1.0 / pim_run.throughput * 1.01
+    assert st.locks is pim_run.locks
+    assert len(st.locks.insert_keys) == pim_run.n_processed
+
+
+@pytest.mark.parametrize("match_rate", [2.0, 256.0])
+@pytest.mark.parametrize("self_join", [False, True], ids=["two_way", "self"])
+def test_lock_trace_is_the_trees_own_traffic(self_join, match_rate):
+    """The recorded lock sequence is what the trees did: each tree's
+    inserts since its last merge, counted per sub-index, are its
+    ``insert_counts``, and the recorded locks plus the prefill's inserts
+    are every lock the trees took. At a match rate of 2 most bands stay
+    in one sub-index; at 256 most span several."""
+    built = []
+
+    def factory(win):
+        built.append(ibwj.PIMAdapter(win, 0.25, 3))
+        return built[-1]
+
+    w = 1 << 12
+    res = measure(
+        factory, w, n_process=5000, match_rate=match_rate, self_join=self_join
+    )
+    locks = res.locks
+    assert len(locks.insert_keys) == res.n_processed
+    spans = np.diff(np.frombuffer(locks.probe_end, np.int64), prepend=0)
+    assert (np.median(spans) >= 2) == (match_rate > 2)
+    inserts = np.frombuffer(locks.insert_keys, np.int64)
+    for tree, a in enumerate(built):
+        counts = a.idx.insert_counts
+        assert sum(counts) > 0  # the run does not end on a merge
+        subs = inserts[inserts % 2 == tree] // 2
+        since_merge = subs[len(subs) - sum(counts):]
+        assert np.bincount(since_merge, minlength=len(counts)).tolist() == counts
+    taken = sum(a.idx.lock_acquisitions for a in built)
+    assert taken == 2 * w + len(locks.probe_keys) + len(locks.insert_keys)
 
 
 def test_one_thread_simulation_takes_the_calibration_run_time():
     """Every measured second of a calibration run lands in one service
     time, merges included: one simulated thread over the run's own
     tuples takes the run's per-tuple time plus the task acquisition the
-    simulator adds. One Bw thread makes no CAS retries."""
-    pim = measure(lambda win: ibwj.PIMAdapter(win, 0.25), 1 << 10, n_process=6000)
-    assert pim.costs.n_merges > 1
-    bw = measure(ibwj.BwAdapter, 1 << 10, n_process=3000)
-    for mode, res in (("pim", pim), ("bw", bw)):
+    simulator adds, for a PIM two-way join, a PIM self-join (both
+    replaying their own lock sequences) and Bw. One Bw thread makes no
+    CAS retries."""
+    runs = [
+        measure(
+            lambda win: ibwj.PIMAdapter(win, 0.25), 1 << 10, n_process=6000,
+            self_join=self_join,
+        )
+        for self_join in (False, True)
+    ]
+    assert all(res.costs.n_merges > 1 for res in runs)
+    runs.append(measure(ibwj.BwAdapter, 1 << 10, n_process=3000))
+    for res in runs:
         st = service_times(res)
-        cfg = SimConfig(n_threads=1, n_tuples=res.n_processed, mode=mode)
+        cfg = SimConfig(n_threads=1, n_tuples=res.n_processed)
         sim = simulate(cfg, st)
         assert sim.n_merges == res.costs.n_merges
         expected = res.elapsed / res.n_processed + st.task_acquire / cfg.task_size
@@ -94,8 +141,9 @@ def test_bw_service_times():
     per = res.costs.per_tuple()
     st = service_times(res)
     assert per["delete"] > 0  # Bw-Tree retires expired tuples individually
-    assert per["scan"] > 0 and per["subindex"] == 0.0
-    assert st.locked == pytest.approx(per["insert"] + per["delete"])
+    assert per["scan"] > 0 and per["subindex"] == 0.0 == st.subindex
+    assert st.update == pytest.approx(per["insert"] + per["delete"])
+    assert res.locks is None  # Bw has no sub-index locks to replay
     assert st.merge_interval == 0 and st.merge_duration == 0.0
 
 
